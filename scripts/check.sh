@@ -25,12 +25,15 @@ cd "$(dirname "$0")/.."
 jobs="$(nproc 2>/dev/null || echo 2)"
 
 # The tests that exercise concurrency: the work-stealing pool itself and
-# everything that fans out over it (parallel matcher, pooled incremental
-# re-matching, multi-threaded sessions, prewarm, cancellation drains),
-# plus the serve layer (worker pool + poll loop + per-session queues),
-# its wire protocol, the soak test, and fault injection (its registry is
-# read from every worker thread).
-tsan_filter='ThreadPool|Parallel|WorkerPool|MultiThreaded|Cancel|Sharded'
+# everything that fans out over it (parallel matcher, the pooled block
+# engine's reruns and concurrent span writes, pooled incremental and
+# session differentials, multi-threaded sessions, the shard driver's
+# pooled shards, spill IO thread and shared spill directories, prewarm,
+# cancellation drains), plus the serve layer (worker pool + poll loop +
+# per-session queues), its wire protocol, the soak test, and fault
+# injection (its registry is read from every worker thread).
+tsan_filter='ThreadPool|Parallel|WorkerPool|MultiThreaded|Cancel'
+tsan_filter+='|PooledBlockRerun|ConcurrentOrSpans|GatheredEdit|ShardDriver'
 tsan_filter+='|Server|Soak|Wire|SessionDigest|Fault'
 
 # UBSan focuses on the arithmetic-heavy kernels (similarity, CRC,

@@ -20,13 +20,8 @@ size_t FrameBytesFor(size_t buffer_bytes) {
                   size_t{256} << 10);
 }
 
-std::string RunPath(const ExternalSortOptions& options, size_t n) {
-  return options.spill_dir + "/" + options.file_prefix + "-" +
-         std::to_string(n) + ".spill";
-}
-
-void RemoveRuns(const std::vector<std::string>& paths) {
-  for (const std::string& p : paths) std::remove(p.c_str());
+std::string RunName(const ExternalSortOptions& options, size_t n) {
+  return options.file_prefix + "-" + std::to_string(n) + ".spill";
 }
 
 /// Reserves the largest power-of-two fraction of `want_bytes` the budget
@@ -69,11 +64,11 @@ Result<MemoryReservation> ReserveWithBackoff(MemoryBudget* budget,
 // ExternalPairSorter
 
 ExternalPairSorter::ExternalPairSorter(ExternalSortOptions options)
-    : options_(std::move(options)) {}
+    : options_(std::move(options)),
+      spill_dir_(options_.spill_dir, options_.file_prefix) {}
 
 ExternalPairSorter::~ExternalPairSorter() {
-  runs_.clear();  // close readers before unlinking
-  RemoveRuns(run_paths_);
+  runs_.clear();  // close readers before spill_dir_ unlinks the runs
 }
 
 Status ExternalPairSorter::EnsureBuffer() {
@@ -92,11 +87,13 @@ Status ExternalPairSorter::EnsureBuffer() {
 Status ExternalPairSorter::SpillRun() {
   std::sort(buffer_.begin(), buffer_.end());
   buffer_.erase(std::unique(buffer_.begin(), buffer_.end()), buffer_.end());
-  const std::string path = RunPath(options_, run_paths_.size());
+  Result<std::string> path =
+      spill_dir_.File(RunName(options_, run_paths_.size()));
+  if (!path.ok()) return path.status();
   SpillWriter::Options wopts;
   wopts.budget = options_.budget;
   wopts.frame_bytes = FrameBytesFor(buffer_capacity_ * sizeof(PairId));
-  Result<SpillWriter> writer = SpillWriter::Create(path, wopts);
+  Result<SpillWriter> writer = SpillWriter::Create(*path, wopts);
   if (!writer.ok()) return writer.status();
   const uint64_t count = buffer_.size();
   EMDBG_RETURN_IF_ERROR(writer->WritePod(count));
@@ -104,7 +101,7 @@ Status ExternalPairSorter::SpillRun() {
       writer->Write(buffer_.data(), buffer_.size() * sizeof(PairId)));
   EMDBG_RETURN_IF_ERROR(writer->Close());
   spilled_bytes_ += writer->payload_bytes();
-  run_paths_.push_back(path);
+  run_paths_.push_back(*path);
   buffer_.clear();
   return Status::Ok();
 }
@@ -255,11 +252,11 @@ Result<CandidateSet> ExternalPairSorter::Drain() {
 // ExternalEntrySorter
 
 ExternalEntrySorter::ExternalEntrySorter(ExternalSortOptions options)
-    : options_(std::move(options)) {}
+    : options_(std::move(options)),
+      spill_dir_(options_.spill_dir, options_.file_prefix) {}
 
 ExternalEntrySorter::~ExternalEntrySorter() {
-  runs_.clear();
-  RemoveRuns(run_paths_);
+  runs_.clear();  // close readers before spill_dir_ unlinks the runs
 }
 
 Status ExternalEntrySorter::WriteEntry(SpillWriter& w, const BlockEntry& e) {
@@ -289,11 +286,13 @@ Status ExternalEntrySorter::ReadEntry(SpillReader& r, BlockEntry* e) {
 
 Status ExternalEntrySorter::SpillRun() {
   std::sort(buffer_.begin(), buffer_.end());
-  const std::string path = RunPath(options_, run_paths_.size());
+  Result<std::string> path =
+      spill_dir_.File(RunName(options_, run_paths_.size()));
+  if (!path.ok()) return path.status();
   SpillWriter::Options wopts;
   wopts.budget = options_.budget;
   wopts.frame_bytes = FrameBytesFor(buffer_bytes_cap_);
-  Result<SpillWriter> writer = SpillWriter::Create(path, wopts);
+  Result<SpillWriter> writer = SpillWriter::Create(*path, wopts);
   if (!writer.ok()) return writer.status();
   const uint64_t count = buffer_.size();
   EMDBG_RETURN_IF_ERROR(writer->WritePod(count));
@@ -302,7 +301,7 @@ Status ExternalEntrySorter::SpillRun() {
   }
   EMDBG_RETURN_IF_ERROR(writer->Close());
   spilled_bytes_ += writer->payload_bytes();
-  run_paths_.push_back(path);
+  run_paths_.push_back(*path);
   buffer_.clear();
   buffer_bytes_used_ = 0;
   return Status::Ok();

@@ -16,8 +16,9 @@ namespace emdbg {
 /// behind out-of-core blocking. The in-memory run buffer is the only
 /// O(data) allocation; everything else is per-run cursors.
 struct ExternalSortOptions {
-  /// Directory for run files (must exist). Runs are named
-  /// `<prefix>-<n>.spill` and deleted when the sorter is destroyed.
+  /// Directory for run files (must exist). Each sorter writes its runs,
+  /// `<prefix>-<n>.spill`, into a private `<prefix>-XXXXXX` subdirectory
+  /// of it (see SpillDir), removed when the sorter is destroyed.
   std::string spill_dir;
   std::string file_prefix = "run";
   /// In-memory run buffer. When a budget denies the reservation the
@@ -94,6 +95,7 @@ class ExternalPairSorter {
   Status PushRun(uint32_t run);
 
   ExternalSortOptions options_;
+  SpillDir spill_dir_;  ///< private subdirectory holding this sorter's runs
   std::vector<PairId> buffer_;
   size_t buffer_capacity_ = 0;  ///< pairs; resolved lazily from budget
   size_t mem_pos_ = 0;          ///< cursor for the no-spill fast path
@@ -171,6 +173,7 @@ class ExternalEntrySorter {
   static Status ReadEntry(SpillReader& r, BlockEntry* e);
 
   ExternalSortOptions options_;
+  SpillDir spill_dir_;  ///< private subdirectory holding this sorter's runs
   std::vector<BlockEntry> buffer_;
   size_t buffer_bytes_used_ = 0;
   size_t buffer_bytes_cap_ = 0;

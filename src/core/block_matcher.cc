@@ -337,44 +337,24 @@ void BlockEvaluator::EvalBlock(size_t b, Bitmap& matches, MatchStats& stats,
 MatchResult BlockMatcher::Run(const MatchingFunction& fn,
                               const CandidateSet& pairs, PairContext& ctx,
                               const RunControl& control) {
-  return RunImpl(fn, pairs, ctx, nullptr, nullptr, control);
+  return RunImpl(fn, pairs, ctx, nullptr, nullptr, control, {});
 }
 
 MatchResult BlockMatcher::RunWithMemo(const MatchingFunction& fn,
                                       const CandidateSet& pairs,
                                       PairContext& ctx, Memo& memo,
                                       const RunControl& control) {
-  return RunImpl(fn, pairs, ctx, nullptr, &memo, control);
+  return RunImpl(fn, pairs, ctx, nullptr, &memo, control, {});
 }
 
 MatchResult BlockMatcher::RunWithState(const MatchingFunction& fn,
                                        const CandidateSet& pairs,
                                        PairContext& ctx, MatchState& state,
                                        const RunControl& control) {
-  const bool reuse =
-      state.initialized() && state.num_pairs() == pairs.size();
-  Status cap = state.EnsureCapacity(pairs.size(), ctx.catalog().size());
-  if (!cap.ok()) {
-    MatchResult denied;
-    denied.matches = Bitmap(pairs.size());
-    denied.evaluated = Bitmap(pairs.size());
-    denied.partial = true;
-    denied.pairs_completed = 0;
-    denied.status = cap;
-    return denied;
-  }
-  if (reuse) state.matches().Fill(false);
-  // Materialize one bitmap per rule and per predicate before evaluation
-  // (same serial phase as the other matchers; the evaluator then only
-  // ORs word spans into them).
-  for (const Rule& r : fn.rules()) {
-    state.RuleTrue(r.id()).Fill(false);
-    for (const Predicate& p : r.predicates()) {
-      state.PredFalse(p.id).Fill(false);
-    }
-  }
+  Status begun = state.BeginRun(fn, pairs.size(), ctx.catalog().size());
+  if (!begun.ok()) return MatchResult::NotStarted(pairs.size(), begun);
   MatchResult result =
-      RunImpl(fn, pairs, ctx, &state, &state.memo(), control);
+      RunImpl(fn, pairs, ctx, &state, &state.memo(), control, {});
   state.matches() = result.matches;
   return result;
 }
@@ -418,36 +398,92 @@ size_t BlockMatcher::ResolveBlockSize(const Options& options,
 MatchResult BlockMatcher::RunImpl(const MatchingFunction& fn,
                                   const CandidateSet& pairs,
                                   PairContext& ctx, MatchState* state,
-                                  Memo* memo, const RunControl& control) {
+                                  Memo* memo, const RunControl& control,
+                                  const Schedule& schedule) {
   Stopwatch timer;
-  StopCheck stop(control);
-  MatchResult result;
-  result.matches = Bitmap(pairs.size());
-  result.MarkComplete(pairs.size());
+  ThreadPool* pool = options_.pool != nullptr &&
+                             options_.pool->num_workers() > 1
+                         ? options_.pool
+                         : nullptr;
+  const size_t workers = pool != nullptr ? pool->num_workers() : 1;
+  if (pool != nullptr && memo != nullptr && !memo->SafeForConcurrentRows()) {
+    return MatchResult::NotStarted(
+        pairs.size(),
+        Status::InvalidArgument(
+            "memo is not safe for concurrent Store (HashMemo rehash moves "
+            "every bucket); use DenseMemo or run single-threaded"));
+  }
 
   BlockEvaluator eval(fn, pairs, ctx, memo, state,
                       ResolveBlockSize(options_, fn));
+  struct alignas(64) Worker {
+    MatchStats stats;
+    BlockEvaluator::Scratch scratch;
+  };
+  // Block scratch (feature columns + masks) dominates per-worker memory,
+  // so reserve the real figure for every worker before any starts.
   Result<MemoryReservation> scratch_bytes = MemoryReservation::Make(
-      options_.budget, eval.ScratchBytes(), "block.scratch");
+      options_.budget, workers * (sizeof(Worker) + eval.ScratchBytes()),
+      "block.scratch");
   if (!scratch_bytes.ok()) {
-    result.evaluated = Bitmap(pairs.size());
-    result.partial = true;
-    result.pairs_completed = 0;
-    result.status = scratch_bytes.status();
-    return result;
+    return MatchResult::NotStarted(pairs.size(), scratch_bytes.status());
   }
-  BlockEvaluator::Scratch scratch;
-  eval.InitScratch(scratch);
+  std::vector<Worker> worker_state(workers);
+  for (Worker& w : worker_state) eval.InitScratch(w.scratch);
 
-  for (size_t b = 0; b < eval.num_blocks(); ++b) {
-    // Cancellation at block granularity: a stopped run's evaluated
-    // prefix ends on a block boundary.
-    if (stop.ShouldStop()) {
-      result.MarkPartialPrefix(b * eval.block_size(), pairs.size(),
-                               stop.Reason());
-      break;
+  MatchResult result;
+  result.matches = Bitmap(pairs.size());
+  result.MarkComplete(pairs.size());
+  if (pool == nullptr) {
+    // A block is up to thousands of pairs' work, so read the deadline
+    // clock at every block, not at the per-pair default stride.
+    StopCheck stop(control, /*deadline_stride=*/1);
+    Worker& w = worker_state.front();
+    for (size_t b = 0; b < eval.num_blocks(); ++b) {
+      if (stop.ShouldStop()) {
+        result.MarkPartialPrefix(b * eval.block_size(), pairs.size(),
+                                 stop.Reason());
+        break;
+      }
+      eval.EvalBlock(b, result.matches, w.stats, w.scratch);
     }
-    eval.EvalBlock(b, result.matches, result.stats, scratch);
+  } else {
+    // Serial phase: make all shared context state read-only for workers.
+    ctx.Prewarm(fn.UsedFeatures(), pool);
+    // One item = one block. Blocks already own disjoint word ranges, so
+    // the pool's chunk alignment drops to 1 — small block counts still
+    // spread across all workers.
+    const ThreadPool::ForResult run = pool->ParallelFor(
+        eval.num_blocks(), control,
+        [&](size_t w, size_t b) {
+          eval.EvalBlock(b, result.matches, worker_state[w].stats,
+                         worker_state[w].scratch);
+        },
+        ThreadPool::ForOptions{
+            .grain = schedule.grain, .steal = schedule.steal, .align = 1});
+    if (run.stopped) {
+      // Block b covers pairs [b*B, min((b+1)*B, n)).
+      const size_t block = eval.block_size();
+      result.partial = true;
+      result.status = run.status;
+      result.evaluated = Bitmap(pairs.size());
+      result.pairs_completed = 0;
+      for (const auto& [begin, end] : run.completed) {
+        const size_t pair_begin = begin * block;
+        const size_t pair_end = std::min(end * block, pairs.size());
+        result.pairs_completed += pair_end - pair_begin;
+        for (size_t i = pair_begin; i < pair_end; ++i) {
+          result.evaluated.Set(i);
+        }
+      }
+    }
+  }
+  for (const Worker& w : worker_state) result.stats += w.stats;
+  if (schedule.per_worker_stats != nullptr) {
+    schedule.per_worker_stats->clear();
+    for (const Worker& w : worker_state) {
+      schedule.per_worker_stats->push_back(w.stats);
+    }
   }
   result.stats.elapsed_ms = timer.ElapsedMillis();
   return result;

@@ -7,6 +7,7 @@
 #include "src/core/cost_model.h"
 #include "src/core/match_state.h"
 #include "src/core/matcher.h"
+#include "src/util/thread_pool.h"
 
 namespace emdbg {
 
@@ -48,10 +49,8 @@ namespace emdbg {
 /// reordered across pairs of one block (pairs are independent, Sec. 7.5).
 ///
 /// Stats equivalence assumes the memo's contents do not change underneath
-/// the run (true for DenseMemo; an evicting ShardedMemo under budget
-/// pressure can shift hit counts — for such memos only the match bits are
-/// guaranteed, exactly as with the parallel matcher, whose hit counts
-/// already depend on eviction timing).
+/// the run (true for DenseMemo; a budgeted HashMemo that drops its map on
+/// a denied reservation can shift hit counts, never match bits).
 class BlockEvaluator {
  public:
   /// Worker-local buffers: one float column + presence/dirty masks per
@@ -137,15 +136,27 @@ class BlockEvaluator {
   std::vector<RuleSlot> rules_;
 };
 
-/// Serial columnar DM+EE (Algorithm 4 over blocks — see BlockEvaluator).
-/// Results are bit-identical to MemoMatcher with default options; the
-/// check-cache-first reordering (Sec. 5.4.3) is intentionally not offered
-/// in block mode, because bulk gathers already collapse the per-probe
-/// lookup cost δ that reordering exists to exploit.
+/// Columnar DM+EE (Algorithm 4 over blocks — see BlockEvaluator): the
+/// one production engine. Every full run — DebugSession's batch reruns,
+/// the incremental engine's FullRun, both ShardedMatchDriver paths and
+/// emdbg_match — goes through it; MemoMatcher and ParallelMemoMatcher's
+/// per-pair loop remain as test oracles and paper baselines.
 ///
-/// Cancellation is checked once per *block* (not per pair): a stopped run
-/// returns a partial result whose evaluated prefix ends on a block
-/// boundary.
+/// Results are bit-identical to MemoMatcher with default options; the
+/// check-cache-first reordering (Sec. 5.4.3) is intentionally not
+/// offered, because bulk gathers already collapse the per-probe lookup
+/// cost δ that reordering exists to exploit.
+///
+/// With a pool of two or more workers, blocks are the work-stealing unit:
+/// each worker owns a BlockEvaluator::Scratch and claims whole blocks,
+/// which own disjoint 64-aligned pair ranges (disjoint memo rows, disjoint
+/// bitmap words), so match bits, decision bitmaps and counters stay
+/// identical to the serial run for every worker count and schedule.
+///
+/// Cancellation is checked once per *block* (not per pair): a stopped
+/// serial run returns a partial result whose evaluated prefix ends on a
+/// block boundary; a stopped pooled run's `evaluated` is the union of the
+/// blocks that completed.
 class BlockMatcher final : public Matcher {
  public:
   struct Options {
@@ -156,10 +167,16 @@ class BlockMatcher final : public Matcher {
     /// Optional measured cost model for the auto block size. Borrowed;
     /// may be null.
     const CostModel* cost_model = nullptr;
-    /// When set, the block scratch (feature columns + masks) is reserved
-    /// from this budget before evaluation; a denied reservation yields a
-    /// clean ResourceExhausted result with zero pairs evaluated.
+    /// When set, the per-worker block scratch (feature columns + masks)
+    /// is reserved from this budget before evaluation; a denied
+    /// reservation yields a clean ResourceExhausted result with zero
+    /// pairs evaluated.
     MemoryBudget* budget = nullptr;
+    /// Borrowed persistent pool; must outlive the matcher's runs. Null or
+    /// a single worker = serial. With more, the shared context is
+    /// prewarmed first (workers then only read it) and blocks fan out
+    /// across the workers.
+    ThreadPool* pool = nullptr;
   };
 
   BlockMatcher() : BlockMatcher(Options{}) {}
@@ -174,7 +191,10 @@ class BlockMatcher final : public Matcher {
                   PairContext& ctx, const RunControl& control) override;
 
   /// Runs against a caller-supplied memo whose prior contents are reused
-  /// and which receives every newly computed value (bulk scatter).
+  /// and which receives every newly computed value (bulk scatter). A
+  /// pooled run needs a memo safe for concurrent distinct-row access
+  /// (DenseMemo); one that is not (HashMemo) yields an InvalidArgument
+  /// result with zero pairs evaluated instead of a data race.
   MatchResult RunWithMemo(const MatchingFunction& fn,
                           const CandidateSet& pairs, PairContext& ctx,
                           Memo& memo,
@@ -205,9 +225,22 @@ class BlockMatcher final : public Matcher {
                                  const MatchingFunction& fn);
 
  private:
+  /// ParallelMemoMatcher's block mode is this engine with its own
+  /// scheduling knobs (the scheduler baselines it benchmarks).
+  friend class ParallelMemoMatcher;
+
+  /// How a pooled run hands out blocks; every production caller uses the
+  /// defaults.
+  struct Schedule {
+    size_t grain = 0;   ///< blocks per claimed chunk; 0 = auto
+    bool steal = true;  ///< false = static equal spans
+    /// When set, receives each worker's counters.
+    std::vector<MatchStats>* per_worker_stats = nullptr;
+  };
+
   MatchResult RunImpl(const MatchingFunction& fn, const CandidateSet& pairs,
                       PairContext& ctx, MatchState* state, Memo* memo,
-                      const RunControl& control);
+                      const RunControl& control, const Schedule& schedule);
 
   Options options_;
 };

@@ -39,7 +39,6 @@ class DebugSession {
  public:
   struct Options {
     OrderingStrategy ordering = OrderingStrategy::kGreedyReduction;
-    bool check_cache_first = true;
     bool incremental = true;
     /// Sample fraction for cost/selectivity estimation (paper: 1%).
     double sample_fraction = 0.01;
@@ -59,14 +58,12 @@ class DebugSession {
     /// degrades a cache layer with bit-identical results; it never
     /// aborts. Must outlive the session.
     MemoryBudget* budget = nullptr;
-    /// Pairs per columnar block for full runs and incremental edits. 1
-    /// (the default) = classic per-pair evaluation; 0 = cost-model-auto
-    /// block size; >= 2 = explicit, rounded up to a multiple of 64 (see
-    /// src/core/block_matcher.h). Match and decision bitmaps are
-    /// identical in every mode; in block mode check_cache_first is
-    /// ignored (block semantics are the ccf-off ordering) and
-    /// cancellation lands on block boundaries.
-    size_t block_size = 1;
+    /// Pairs per block of the block engine that runs every full run (see
+    /// src/core/block_matcher.h): 0 (the default) = cost-model-auto;
+    /// explicit values are rounded up to a multiple of 64. Match and
+    /// decision bitmaps are identical for every value; cancellation
+    /// lands on block boundaries.
+    size_t block_size = 0;
     /// Out-of-core full runs (non-incremental mode only): stream the
     /// candidates through the ShardedMatchDriver — shard-sized memo
     /// slices bounded by `budget` instead of one O(pairs × features)
@@ -158,6 +155,14 @@ class DebugSession {
 
   /// True if Run() has been called at least once.
   bool has_run() const { return started_; }
+
+  /// The materialized state behind the maintained result — memo, match
+  /// bitmap, per-rule true / per-predicate false bitmaps (Sec. 6.1) —
+  /// for inspection. Empty before the first Run(); match bits only for
+  /// sharded batch sessions.
+  const MatchState& state() const {
+    return started_ && options_.incremental ? inc_->state() : batch_state_;
+  }
 
   /// Work performed by the most recent Run()/edit.
   const MatchStats& last_stats() const { return last_stats_; }
@@ -255,13 +260,13 @@ class DebugSession {
   /// freshly added rule's predicates (Lemma 3).
   void PrepareRule(Rule& rule);
 
-  /// Options for constructing the incremental engine (check-cache-first
-  /// plus the session's pool).
+  /// Options for constructing the incremental engine (the session's
+  /// pool, budget and block size).
   IncrementalMatcher::Options IncOptions();
 
-  /// Non-incremental full run of `fn_` into batch_state_ — parallel when
-  /// the session has a pool, serial MemoMatcher otherwise (identical
-  /// results either way).
+  /// Non-incremental full run of `fn_` into batch_state_ on the block
+  /// engine (on the session's pool when it has one; identical results
+  /// either way), or through the sharded driver when `sharded`.
   MatchResult BatchRun(const RunControl& control);
 
   /// Immutable corpus, possibly shared with other sessions (see the

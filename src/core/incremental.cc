@@ -1,11 +1,10 @@
 #include "src/core/incremental.h"
 
 #include <bit>
+#include <utility>
 #include <vector>
 
 #include "src/core/block_matcher.h"
-#include "src/core/memo_matcher.h"
-#include "src/core/parallel_matcher.h"
 #include "src/util/bitmap.h"
 #include "src/util/stopwatch.h"
 #include "src/util/string_util.h"
@@ -14,22 +13,58 @@ namespace emdbg {
 
 namespace {
 
-/// Gathered edits below one bitmap word of lanes run per-pair: the
-/// columnar setup (lane gather, mask buffers) does not pay there.
+/// Edits below one bitmap word of lanes run per pair: the columnar setup
+/// (lane gather, mask buffers) does not pay there.
 constexpr size_t kMinGatheredLanes = 64;
 
-/// Calls fn(i) for every set lane of a gathered mask over [0, n).
-template <typename Fn>
-void ForEachLane(const uint64_t* mask, size_t n, Fn&& fn) {
+/// Calls fn(i) for every i in [0, n) whose bit is set in word(i / 64),
+/// a word at a time: a zero word costs one test, not 64 bit probes.
+/// word(w) is read once, before fn runs for any of its bits.
+template <typename WordFn, typename Fn>
+void ForEachSetBit(size_t n, WordFn&& word, Fn&& fn) {
   const size_t words = bitspan::Words(n);
   for (size_t w = 0; w < words; ++w) {
-    uint64_t m =
-        w + 1 == words ? mask[w] & bitspan::TailMask(n) : mask[w];
+    uint64_t m = word(w);
+    if (w + 1 == words) m &= bitspan::TailMask(n);
     while (m != 0) {
       fn(w * 64 + static_cast<size_t>(std::countr_zero(m)));
       m &= m - 1;
     }
   }
+}
+
+/// Calls fn(i) for every set lane of a gathered mask over [0, n).
+template <typename Fn>
+void ForEachLane(const uint64_t* mask, size_t n, Fn&& fn) {
+  ForEachSetBit(n, [mask](size_t w) { return mask[w]; }, fn);
+}
+
+/// The pair indices in [0, n) whose bit is set in word(i / 64).
+template <typename WordFn>
+std::vector<uint32_t> CollectLanes(size_t n, WordFn&& word) {
+  std::vector<uint32_t> idx;
+  ForEachSetBit(n, word,
+                [&](size_t i) { idx.push_back(static_cast<uint32_t>(i)); });
+  return idx;
+}
+
+std::vector<uint32_t> SetLanes(const Bitmap& bm) {
+  const uint64_t* words = bm.words().data();
+  return CollectLanes(bm.size(), [words](size_t w) { return words[w]; });
+}
+
+std::vector<uint32_t> UnsetLanes(const Bitmap& bm) {
+  const uint64_t* words = bm.words().data();
+  return CollectLanes(bm.size(), [words](size_t w) { return ~words[w]; });
+}
+
+/// Unmatched pairs a predicate rejected: the candidates of Algorithm 8.
+std::vector<uint32_t> RejectedUnmatchedLanes(const Bitmap& rejected,
+                                             const Bitmap& matches) {
+  const uint64_t* r = rejected.words().data();
+  const uint64_t* m = matches.words().data();
+  return CollectLanes(rejected.size(),
+                      [r, m](size_t w) { return r[w] & ~m[w]; });
 }
 
 }  // namespace
@@ -50,23 +85,11 @@ MatchStats IncrementalMatcher::FullRun(const MatchingFunction& fn) {
 MatchResult IncrementalMatcher::FullRun(const MatchingFunction& fn,
                                         const RunControl& control) {
   fn_ = fn;
-  MatchResult result;
-  if (options_.pool != nullptr && options_.pool->num_workers() > 1) {
-    ParallelMemoMatcher matcher(ParallelMemoMatcher::Options{
-        .check_cache_first = options_.check_cache_first,
-        .pool = options_.pool,
-        .budget = options_.budget,
-        .block_size = options_.block_size});
-    result = matcher.RunWithState(fn_, pairs_, ctx_, state_, control);
-  } else if (options_.block_size != 1) {
-    BlockMatcher matcher(BlockMatcher::Options{
-        .block_size = options_.block_size, .budget = options_.budget});
-    result = matcher.RunWithState(fn_, pairs_, ctx_, state_, control);
-  } else {
-    MemoMatcher matcher(MemoMatcher::Options{
-        .check_cache_first = options_.check_cache_first});
-    result = matcher.RunWithState(fn_, pairs_, ctx_, state_, control);
-  }
+  BlockMatcher matcher(BlockMatcher::Options{.block_size = options_.block_size,
+                                             .budget = options_.budget,
+                                             .pool = options_.pool});
+  MatchResult result =
+      matcher.RunWithState(fn_, pairs_, ctx_, state_, control);
   has_run_ = !result.partial;
   return result;
 }
@@ -92,45 +115,6 @@ Status IncrementalMatcher::SyncMemoWidth() {
   return state_.EnsureCapacity(state_.num_pairs(), ctx_.catalog().size());
 }
 
-void IncrementalMatcher::EnsureDecisionBitmaps() {
-  for (const Rule& r : fn_.rules()) {
-    (void)state_.RuleTrue(r.id());
-    for (const Predicate& p : r.predicates()) {
-      (void)state_.PredFalse(p.id);
-    }
-  }
-}
-
-MatchStats IncrementalMatcher::ForEachPair(
-    const std::function<void(size_t i, MatchStats& stats,
-                             PredicateOrderScratch& scratch)>& body) {
-  ThreadPool* pool = options_.pool;
-  if (pool == nullptr || pool->num_workers() <= 1 ||
-      pairs_.size() < options_.min_parallel_pairs) {
-    MatchStats stats;
-    PredicateOrderScratch scratch;
-    for (size_t i = 0; i < pairs_.size(); ++i) body(i, stats, scratch);
-    return stats;
-  }
-  // Parallel prerequisites: shared context read-only, decision bitmaps
-  // pre-materialized (no map rehash under concurrent access). Bodies
-  // touch only pair-i state and chunks are 64-aligned, so no two
-  // workers ever share a bitmap word (ThreadPool's alignment contract).
-  ctx_.Prewarm(fn_.UsedFeatures(), pool);
-  EnsureDecisionBitmaps();
-  struct alignas(64) WorkerState {
-    MatchStats stats;
-    PredicateOrderScratch scratch;
-  };
-  std::vector<WorkerState> ws(pool->num_workers());
-  pool->ParallelFor(pairs_.size(), [&](size_t w, size_t i) {
-    body(i, ws[w].stats, ws[w].scratch);
-  });
-  MatchStats total;
-  for (const WorkerState& w : ws) total += w.stats;
-  return total;
-}
-
 double IncrementalMatcher::AcquireFeature(FeatureId f, size_t i,
                                           MatchStats& stats) {
   double value = 0.0;
@@ -145,13 +129,8 @@ double IncrementalMatcher::AcquireFeature(FeatureId f, size_t i,
 }
 
 bool IncrementalMatcher::EvalRule(const Rule& r, size_t i,
-                                  MatchStats& stats,
-                                  PredicateOrderScratch& scratch) {
-  // Check-cache-first partition (Sec. 5.4.3), as in MemoMatcher.
-  const uint32_t* order =
-      scratch.Build(r, state_.memo(), i, options_.check_cache_first);
-  for (size_t k = 0; k < r.size(); ++k) {
-    const Predicate& p = r.predicate(order[k]);
+                                  MatchStats& stats) {
+  for (const Predicate& p : r.predicates()) {
     ++stats.predicate_evaluations;
     const double value = AcquireFeature(p.feature, i, stats);
     if (!p.Test(value)) {
@@ -172,15 +151,15 @@ bool IncrementalMatcher::RuleKnownFalse(const Rule& r, size_t i) const {
   return false;
 }
 
-void IncrementalMatcher::RematchPair(size_t i, size_t from,
-                                     MatchStats& stats,
-                                     PredicateOrderScratch& scratch) {
-  for (size_t pos = from; pos < fn_.num_rules(); ++pos) {
+void IncrementalMatcher::RematchPair(size_t i, size_t skip_pos,
+                                     MatchStats& stats) {
+  for (size_t pos = 0; pos < fn_.num_rules(); ++pos) {
+    if (pos == skip_pos) continue;
     const Rule& rule = fn_.rule(pos);
     if (rule.empty()) continue;
     if (RuleKnownFalse(rule, i)) continue;
     ++stats.rule_evaluations;
-    if (EvalRule(rule, i, stats, scratch)) {
+    if (EvalRule(rule, i, stats)) {
       state_.matches().Set(i);
       state_.RuleTrue(rule.id()).Set(i);
       return;
@@ -231,7 +210,7 @@ void IncrementalMatcher::EvalRuleGathered(const Rule& r,
     AcquireFeatureGathered(p.feature, idx, gathered, active.data(),
                            col.data(), stats);
     Bitmap& pf = state_.PredFalse(p.id);
-    // ForEachLane snapshots each word before walking it, so clearing a
+    // ForEachLane reads each word before walking it, so clearing a
     // failing lane from `active` mid-walk is safe.
     ForEachLane(active.data(), n, [&](size_t i) {
       if (p.Test(static_cast<double>(col[i]))) {
@@ -285,39 +264,75 @@ void IncrementalMatcher::RematchGathered(std::vector<uint32_t>& idx,
   }
 }
 
-MatchStats IncrementalMatcher::RecheckMatchedGathered(RuleId rid,
-                                                      const Predicate& p) {
+MatchStats IncrementalMatcher::EvalRuleOnLanes(const Rule& r,
+                                               std::vector<uint32_t> idx) {
   MatchStats stats;
-  const Bitmap& affected = state_.RuleTrue(rid);
-  const size_t rule_pos = fn_.FindRule(rid);
-  std::vector<uint32_t> idx;
-  for (size_t i = 0; i < pairs_.size(); ++i) {
-    if (affected.Get(i)) idx.push_back(static_cast<uint32_t>(i));
+  stats.rule_evaluations += idx.size();
+  if (idx.size() >= kMinGatheredLanes) {
+    EvalRuleGathered(r, idx, stats);
+    return stats;
   }
-  const size_t n = idx.size();
-  if (n == 0) return stats;
-  stats.predicate_evaluations += n;
-  std::vector<PairId> gathered(n);
-  for (size_t i = 0; i < n; ++i) gathered[i] = pairs_.pair(idx[i]);
-  std::vector<float> col(n);
-  std::vector<uint64_t> all(bitspan::Words(n));
-  bitspan::Fill(all.data(), n, true);
-  AcquireFeatureGathered(p.feature, idx, gathered, all.data(), col.data(),
-                         stats);
-
-  std::vector<uint32_t> failing;
-  Bitmap& pf = state_.PredFalse(p.id);
-  for (size_t i = 0; i < n; ++i) {
-    if (p.Test(static_cast<double>(col[i]))) {
-      pf.Clear(idx[i]);  // still matched by this rule
-    } else {
-      pf.Set(idx[i]);
-      state_.RuleTrue(rid).Clear(idx[i]);
-      state_.matches().Clear(idx[i]);
-      failing.push_back(idx[i]);
+  for (const uint32_t i : idx) {
+    if (EvalRule(r, i, stats)) {
+      state_.matches().Set(i);
+      state_.RuleTrue(r.id()).Set(i);
     }
   }
-  RematchGathered(failing, rule_pos, stats);
+  return stats;
+}
+
+MatchStats IncrementalMatcher::RematchLanes(std::vector<uint32_t> idx,
+                                            size_t skip_pos) {
+  MatchStats stats;
+  for (const uint32_t i : idx) state_.matches().Clear(i);
+  if (idx.size() >= kMinGatheredLanes) {
+    RematchGathered(idx, skip_pos, stats);
+    return stats;
+  }
+  for (const uint32_t i : idx) RematchPair(i, skip_pos, stats);
+  return stats;
+}
+
+MatchStats IncrementalMatcher::RecheckMatchedPairs(RuleId rid,
+                                                   const Predicate& p) {
+  // Snapshot: the pairs that fail are cleared from RuleTrue(rid) below.
+  const std::vector<uint32_t> idx = SetLanes(state_.RuleTrue(rid));
+  MatchStats stats;
+  stats.predicate_evaluations += idx.size();
+  Bitmap& pf = state_.PredFalse(p.id);
+  Bitmap& rule_true = state_.RuleTrue(rid);
+  std::vector<uint32_t> failing;
+  auto record = [&](uint32_t i, bool pass) {
+    if (pass) {
+      pf.Clear(i);  // still matched by this rule
+      return;
+    }
+    pf.Set(i);
+    rule_true.Clear(i);
+    failing.push_back(i);
+  };
+  if (idx.size() >= kMinGatheredLanes) {
+    const size_t n = idx.size();
+    std::vector<PairId> gathered(n);
+    for (size_t k = 0; k < n; ++k) gathered[k] = pairs_.pair(idx[k]);
+    std::vector<float> col(n);
+    std::vector<uint64_t> all(bitspan::Words(n));
+    bitspan::Fill(all.data(), n, true);
+    AcquireFeatureGathered(p.feature, idx, gathered, all.data(), col.data(),
+                           stats);
+    for (size_t k = 0; k < n; ++k) {
+      record(idx[k], p.Test(static_cast<double>(col[k])));
+    }
+  } else {
+    for (const uint32_t i : idx) {
+      record(i, p.Test(AcquireFeature(p.feature, i, stats)));
+    }
+  }
+  // Algorithm 7 re-checks the rules after r; we additionally skip r
+  // itself and use the known-false shortcut for the earlier rules, which
+  // keeps this correct even after earlier relax edits cleared some of
+  // their bitmap bits.
+  stats += RematchLanes(std::move(failing), fn_.FindRule(rid));
   return stats;
 }
 
@@ -331,32 +346,8 @@ Result<MatchStats> IncrementalMatcher::AddRule(const Rule& rule) {
   const RuleId rid = fn_.AddRule(rule);
   last_added_rule_ = rid;
   const Rule& r = *fn_.RuleById(rid);
-  if (!r.empty()) {
-    // Algorithm 10: only unmatched pairs can be affected.
-    bool gathered_done = false;
-    if (options_.block_size != 1) {
-      std::vector<uint32_t> idx;
-      for (size_t i = 0; i < pairs_.size(); ++i) {
-        if (!state_.matches().Get(i)) idx.push_back(static_cast<uint32_t>(i));
-      }
-      if (idx.size() >= kMinGatheredLanes) {
-        stats.rule_evaluations += idx.size();
-        EvalRuleGathered(r, idx, stats);
-        gathered_done = true;
-      }
-    }
-    if (!gathered_done) {
-      stats = ForEachPair([&](size_t i, MatchStats& s,
-                              PredicateOrderScratch& scratch) {
-        if (state_.matches().Get(i)) return;
-        ++s.rule_evaluations;
-        if (EvalRule(r, i, s, scratch)) {
-          state_.matches().Set(i);
-          state_.RuleTrue(rid).Set(i);
-        }
-      });
-    }
-  }
+  // Algorithm 10: only unmatched pairs can be affected.
+  if (!r.empty()) stats = EvalRuleOnLanes(r, UnsetLanes(state_.matches()));
   stats.elapsed_ms = timer.ElapsedMillis();
   return stats;
 }
@@ -372,9 +363,9 @@ Result<MatchStats> IncrementalMatcher::RemoveRule(RuleId rid) {
     return Status::NotFound(StrFormat("rule %u not found", rid));
   }
   // Snapshot the pairs this rule was responsible for, then drop its state.
-  Bitmap affected;
+  std::vector<uint32_t> affected;
   if (const Bitmap* bm = state_.FindRuleTrue(rid); bm != nullptr) {
-    affected = *bm;
+    affected = SetLanes(*bm);
   }
   for (const Predicate& p : rule->predicates()) {
     state_.ErasePredicate(p.id);
@@ -382,100 +373,9 @@ Result<MatchStats> IncrementalMatcher::RemoveRule(RuleId rid) {
   state_.EraseRule(rid);
   EMDBG_RETURN_IF_ERROR(fn_.RemoveRule(rid));
   // Algorithm 9: re-check the affected pairs against the remaining rules.
-  MatchStats stats;
-  if (!affected.empty()) {
-    bool gathered_done = false;
-    if (options_.block_size != 1) {
-      std::vector<uint32_t> idx;
-      for (size_t i = 0; i < pairs_.size(); ++i) {
-        if (affected.Get(i)) idx.push_back(static_cast<uint32_t>(i));
-      }
-      if (idx.size() >= kMinGatheredLanes) {
-        for (const uint32_t i : idx) state_.matches().Clear(i);
-        RematchGathered(idx, fn_.num_rules(), stats);
-        gathered_done = true;
-      }
-    }
-    if (!gathered_done) {
-      stats = ForEachPair([&](size_t i, MatchStats& s,
-                              PredicateOrderScratch& scratch) {
-        if (!affected.Get(i)) return;
-        state_.matches().Clear(i);
-        RematchPair(i, 0, s, scratch);
-      });
-    }
-  }
+  MatchStats stats = RematchLanes(std::move(affected), fn_.num_rules());
   stats.elapsed_ms = timer.ElapsedMillis();
   return stats;
-}
-
-MatchStats IncrementalMatcher::RecheckMatchedPairs(RuleId rid,
-                                                   const Predicate& p) {
-  if (options_.block_size != 1 &&
-      state_.RuleTrue(rid).Count() >= kMinGatheredLanes) {
-    return RecheckMatchedGathered(rid, p);
-  }
-  // Snapshot: the loop clears RuleTrue(rid) bits as it goes.
-  const Bitmap affected = state_.RuleTrue(rid);
-  const size_t rule_pos = fn_.FindRule(rid);
-  return ForEachPair([&, this](size_t i, MatchStats& s,
-                               PredicateOrderScratch& scratch) {
-    if (!affected.Get(i)) return;
-    ++s.predicate_evaluations;
-    const double value = AcquireFeature(p.feature, i, s);
-    if (p.Test(value)) {
-      state_.PredFalse(p.id).Clear(i);
-      return;  // still matched by this rule
-    }
-    state_.PredFalse(p.id).Set(i);
-    state_.RuleTrue(rid).Clear(i);
-    state_.matches().Clear(i);
-    // Algorithm 7 re-checks the rules after r; we additionally skip r
-    // itself and use the known-false shortcut for the earlier rules,
-    // which keeps this correct even after earlier relax edits cleared
-    // some of their bitmap bits.
-    for (size_t pos = 0; pos < fn_.num_rules(); ++pos) {
-      if (pos == rule_pos) continue;
-      const Rule& other = fn_.rule(pos);
-      if (other.empty()) continue;
-      if (RuleKnownFalse(other, i)) continue;
-      ++s.rule_evaluations;
-      if (EvalRule(other, i, s, scratch)) {
-        state_.matches().Set(i);
-        state_.RuleTrue(other.id()).Set(i);
-        break;
-      }
-    }
-  });
-}
-
-MatchStats IncrementalMatcher::RecheckUnmatchedPairs(
-    RuleId rid, const Bitmap& candidates) {
-  const Rule& rule = *fn_.RuleById(rid);
-  if (options_.block_size != 1) {
-    std::vector<uint32_t> idx;
-    for (size_t i = 0; i < pairs_.size(); ++i) {
-      if (candidates.Get(i) && !state_.matches().Get(i)) {
-        idx.push_back(static_cast<uint32_t>(i));
-      }
-    }
-    if (idx.size() >= kMinGatheredLanes) {
-      MatchStats stats;
-      stats.rule_evaluations += idx.size();
-      EvalRuleGathered(rule, idx, stats);
-      return stats;
-    }
-  }
-  return ForEachPair([&, this](size_t i, MatchStats& s,
-                               PredicateOrderScratch& scratch) {
-    if (!candidates.Get(i)) return;
-    if (state_.matches().Get(i)) return;
-    ++s.rule_evaluations;
-    if (EvalRule(rule, i, s, scratch)) {
-      state_.matches().Set(i);
-      state_.RuleTrue(rid).Set(i);
-    }
-  });
 }
 
 Result<MatchStats> IncrementalMatcher::AddPredicate(RuleId rid,
@@ -497,30 +397,7 @@ Result<MatchStats> IncrementalMatcher::AddPredicate(RuleId rid,
   if (was_empty) {
     // Empty rules are false everywhere, so this transition can only add
     // matches: evaluate like a newly added rule (Algorithm 10).
-    const Rule& r = *fn_.RuleById(rid);
-    bool gathered_done = false;
-    if (options_.block_size != 1) {
-      std::vector<uint32_t> idx;
-      for (size_t i = 0; i < pairs_.size(); ++i) {
-        if (!state_.matches().Get(i)) idx.push_back(static_cast<uint32_t>(i));
-      }
-      if (idx.size() >= kMinGatheredLanes) {
-        stats.rule_evaluations += idx.size();
-        EvalRuleGathered(r, idx, stats);
-        gathered_done = true;
-      }
-    }
-    if (!gathered_done) {
-      stats = ForEachPair([&](size_t i, MatchStats& s,
-                              PredicateOrderScratch& scratch) {
-        if (state_.matches().Get(i)) return;
-        ++s.rule_evaluations;
-        if (EvalRule(r, i, s, scratch)) {
-          state_.matches().Set(i);
-          state_.RuleTrue(rid).Set(i);
-        }
-      });
-    }
+    stats = EvalRuleOnLanes(*fn_.RuleById(rid), UnsetLanes(state_.matches()));
   } else {
     // Algorithm 7: adding a predicate can only shrink the rule's matches.
     Predicate added = p;
@@ -543,9 +420,9 @@ Result<MatchStats> IncrementalMatcher::RemovePredicate(RuleId rid,
     return Status::NotFound(StrFormat("rule %u not found", rid));
   }
   // Snapshot the pairs this predicate rejected before dropping its state.
-  Bitmap rejected(pairs_.size());
+  std::vector<uint32_t> rejected;
   if (const Bitmap* bm = state_.FindPredFalse(pid); bm != nullptr) {
-    rejected = *bm;
+    rejected = RejectedUnmatchedLanes(*bm, state_.matches());
   }
   EMDBG_RETURN_IF_ERROR(fn_.RemovePredicate(rid, pid));
   state_.ErasePredicate(pid);
@@ -555,32 +432,13 @@ Result<MatchStats> IncrementalMatcher::RemovePredicate(RuleId rid,
   if (updated->empty()) {
     // The rule degenerated to empty = false everywhere: un-match the
     // pairs it was responsible for and re-match them elsewhere.
-    const Bitmap affected = state_.RuleTrue(rid);
+    std::vector<uint32_t> affected = SetLanes(state_.RuleTrue(rid));
     state_.RuleTrue(rid).Fill(false);
-    bool gathered_done = false;
-    if (options_.block_size != 1) {
-      std::vector<uint32_t> idx;
-      for (size_t i = 0; i < pairs_.size(); ++i) {
-        if (affected.Get(i)) idx.push_back(static_cast<uint32_t>(i));
-      }
-      if (idx.size() >= kMinGatheredLanes) {
-        for (const uint32_t i : idx) state_.matches().Clear(i);
-        RematchGathered(idx, fn_.num_rules(), stats);
-        gathered_done = true;
-      }
-    }
-    if (!gathered_done) {
-      stats = ForEachPair([&](size_t i, MatchStats& s,
-                              PredicateOrderScratch& scratch) {
-        if (!affected.Get(i)) return;
-        state_.matches().Clear(i);
-        RematchPair(i, 0, s, scratch);
-      });
-    }
+    stats = RematchLanes(std::move(affected), fn_.num_rules());
   } else {
     // Algorithm 8: only unmatched pairs that the predicate rejected can
     // become matches.
-    stats = RecheckUnmatchedPairs(rid, rejected);
+    stats = EvalRuleOnLanes(*updated, std::move(rejected));
   }
   stats.elapsed_ms = timer.ElapsedMillis();
   return stats;
@@ -624,12 +482,12 @@ Result<MatchStats> IncrementalMatcher::SetThreshold(RuleId rid,
     // threshold, so clear every one (clear = unknown is always sound for
     // I3); the unmatched rejected pairs are then re-evaluated, which
     // re-records fresh outcomes for whatever the evaluation touches.
-    Bitmap rejected(pairs_.size());
+    std::vector<uint32_t> rejected;
     if (const Bitmap* bm = state_.FindPredFalse(pid); bm != nullptr) {
-      rejected = *bm;
+      rejected = RejectedUnmatchedLanes(*bm, state_.matches());
     }
     state_.PredFalse(pid).Fill(false);
-    stats = RecheckUnmatchedPairs(rid, rejected);
+    stats = EvalRuleOnLanes(*rule, std::move(rejected));
   }
   stats.elapsed_ms = timer.ElapsedMillis();
   return stats;

@@ -1,14 +1,14 @@
 #ifndef EMDBG_CORE_INCREMENTAL_H_
 #define EMDBG_CORE_INCREMENTAL_H_
 
-#include <functional>
+#include <cstdint>
+#include <vector>
 
 #include "src/block/candidate_pairs.h"
 #include "src/core/match_result.h"
 #include "src/core/match_state.h"
 #include "src/core/matching_function.h"
 #include "src/core/pair_context.h"
-#include "src/core/predicate_order.h"
 #include "src/util/cancellation.h"
 #include "src/util/thread_pool.h"
 
@@ -42,39 +42,21 @@ namespace emdbg {
 class IncrementalMatcher {
  public:
   struct Options {
-    /// Use the Sec. 5.4.3 check-cache-first predicate order during
-    /// evaluations.
-    bool check_cache_first = true;
     /// Borrowed persistent work-stealing pool (must outlive the
-    /// matcher). When set, full runs AND the affected-pair re-matching
-    /// of every edit fan out across its workers — the paper's headline
-    /// interactive operation was fully serial before. Each pair's
-    /// re-evaluation touches only its own memo row and bitmap bit, and
-    /// chunks are 64-aligned (see ThreadPool), so the result — matches,
-    /// decision bitmaps, even the MatchStats counters — is identical to
-    /// the serial path for every thread count. Null = serial.
+    /// matcher). Full runs fan out across its workers through the block
+    /// engine (see BlockMatcher), with results identical to the serial
+    /// run; edits stay serial — their affected lanes are too few to pay
+    /// for a fan-out. Null = serial.
     ThreadPool* pool = nullptr;
-    /// Edits touching fewer pairs than this run serially even with a
-    /// pool (fan-out overhead would dominate sub-millisecond edits).
-    size_t min_parallel_pairs = 1024;
     /// Memory accountant for the materialized state's memo matrix and
-    /// the parallel matcher's per-worker scratch (null = unbudgeted).
-    /// A denied reservation surfaces as ResourceExhausted from the full
+    /// the block engine's per-worker scratch (null = unbudgeted). A
+    /// denied reservation surfaces as ResourceExhausted from the full
     /// run or edit, with the prior state untouched. Must outlive the
     /// matcher.
     MemoryBudget* budget = nullptr;
-    /// Pairs per columnar block. 1 (the default) = classic per-pair
-    /// evaluation everywhere. Any other value (0 = auto-size) switches
-    /// full runs to the BlockEvaluator (see src/core/block_matcher.h)
-    /// and edits to *gathered-block* re-evaluation: the affected pair
-    /// indices are gathered into a dense lane list and each feature is
-    /// evaluated across all lanes at once (ComputeFeatureBlock), with
-    /// rule/predicate combination by mask algebra. Edits touching fewer
-    /// than one bitmap word of lanes stay per-pair (columnar setup does
-    /// not pay below 64 lanes). Block mode uses the as-written predicate
-    /// order — check_cache_first is ignored — so its bitmaps and stats
-    /// equal the per-pair path with check_cache_first=false.
-    size_t block_size = 1;
+    /// Pairs per block of full runs: 0 = auto-size, explicit values round
+    /// up to a multiple of 64 (see BlockMatcher::Options).
+    size_t block_size = 0;
   };
 
   /// `ctx` and `pairs` must outlive the matcher.
@@ -88,7 +70,7 @@ class IncrementalMatcher {
   /// are rebuilt.
   MatchStats FullRun(const MatchingFunction& fn);
 
-  /// Controlled full run: checks `control` once per pair. If the run is
+  /// Controlled full run: checks `control` once per block. If the run is
   /// stopped early the result is partial (see match_result.h) and
   /// has_run() becomes false — the memo keeps everything computed so far
   /// (a later run resumes cheaply), but the decision bitmaps are
@@ -143,53 +125,48 @@ class IncrementalMatcher {
   }
 
  private:
+  // Every edit collects its affected pair indices ("lanes") once, a word
+  // at a time, and evaluates them either per pair (below one bitmap word
+  // of lanes, where columnar setup does not pay) or gathered: the lanes'
+  // pairs are packed into a dense list and each feature is evaluated
+  // across all of them at once (ComputeFeatureBlock), with rule and
+  // predicate combination by mask algebra. Both forms evaluate the
+  // predicates in the order written, so they produce the same bitmaps
+  // and MatchStats as each other and as the block engine's full runs.
+
   /// Memoized feature acquisition for candidate pair index `i`.
   double AcquireFeature(FeatureId f, size_t i, MatchStats& stats);
 
   /// Evaluates rule `r` for pair `i` with memoing; records the first
   /// false predicate in PredFalse. Does not touch RuleTrue/matches.
-  /// `scratch` is the caller's (per-worker) predicate-order buffer.
-  bool EvalRule(const Rule& r, size_t i, MatchStats& stats,
-                PredicateOrderScratch& scratch);
+  bool EvalRule(const Rule& r, size_t i, MatchStats& stats);
 
   /// True if some predicate of `r` has its false-bit set for pair `i`
   /// (sound "rule is false" shortcut under I3).
   bool RuleKnownFalse(const Rule& r, size_t i) const;
 
-  /// Re-evaluates pair `i` against rules at positions [from, end) in the
-  /// current order; on the first true rule marks the pair matched and
-  /// sets the responsible-rule bit. Uses the known-false shortcut.
-  void RematchPair(size_t i, size_t from, MatchStats& stats,
-                   PredicateOrderScratch& scratch);
+  /// Re-evaluates pair `i` against the rules in the current order,
+  /// skipping position `skip_pos`; on the first true rule marks the pair
+  /// matched and sets the responsible-rule bit. Uses the known-false
+  /// shortcut.
+  void RematchPair(size_t i, size_t skip_pos, MatchStats& stats);
 
   /// Grows the memo if the catalog gained features since initialization.
   /// ResourceExhausted (state untouched, edit not applied) when the
   /// attached memory budget denies the growth.
   Status SyncMemoWidth();
 
-  /// Runs body(i, stats, scratch) over every pair index in [0, n),
-  /// fanned out over the pool when one is configured and the range is
-  /// worth it, serial otherwise; returns the summed stats. Parallel
-  /// prerequisites (prewarmed context, pre-materialized decision
-  /// bitmaps) are established here. Bodies must only touch pair-i state
-  /// (memo row i, bit i) — see Options::pool.
-  MatchStats ForEachPair(
-      const std::function<void(size_t i, MatchStats& stats,
-                               PredicateOrderScratch& scratch)>& body);
+  /// Evaluates rule `r` on every lane of `idx` (unmatched pairs); lanes
+  /// where it is true become matched by it. Algorithms 8 and 10.
+  MatchStats EvalRuleOnLanes(const Rule& r, std::vector<uint32_t> idx);
 
-  /// Pre-creates RuleTrue/PredFalse bitmaps for every rule/predicate of
-  /// the current function (MatchState's maps must not rehash under
-  /// concurrent first access from workers).
-  void EnsureDecisionBitmaps();
+  /// Un-matches every lane of `idx` and re-matches it against the rules
+  /// at positions other than `skip_pos`. Algorithm 9.
+  MatchStats RematchLanes(std::vector<uint32_t> idx, size_t skip_pos);
 
   /// Shared tail of AddPredicate / tighten: re-check pairs in RuleTrue(r)
-  /// against predicate `p` (already updated in fn_).
+  /// against predicate `p` (already updated in fn_). Algorithm 7.
   MatchStats RecheckMatchedPairs(RuleId rid, const Predicate& p);
-
-  // ---- Gathered-block edit evaluation (Options::block_size != 1).
-  // Bit-identical to the per-pair routines above with
-  // check_cache_first=false: same (pair, rule, predicate) evaluation
-  // set, same memo outcomes, merely reordered across lanes. ----
 
   /// Memoized columnar acquisition of feature `f` for every lane of
   /// `idx` whose bit is set in `lanes`: probes the memo per lane, then
@@ -213,15 +190,6 @@ class IncrementalMatcher {
   /// applied per lane before each rule.
   void RematchGathered(std::vector<uint32_t>& idx, size_t skip_pos,
                        MatchStats& stats);
-
-  /// Gathered-block body of RecheckMatchedPairs (block mode, >= 64
-  /// affected lanes): one columnar pass over the edited predicate, then
-  /// RematchGathered for the lanes it now rejects.
-  MatchStats RecheckMatchedGathered(RuleId rid, const Predicate& p);
-
-  /// Shared tail of RemovePredicate / relax: re-evaluate unmatched pairs
-  /// in `candidates` (bit indices) against rule `rid`.
-  MatchStats RecheckUnmatchedPairs(RuleId rid, const Bitmap& candidates);
 
   PairContext& ctx_;
   const CandidateSet& pairs_;

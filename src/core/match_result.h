@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <string>
+#include <utility>
 
 #include "src/block/candidate_pairs.h"
 #include "src/util/bitmap.h"
@@ -67,6 +68,15 @@ struct MatchResult {
   /// Marks a run stopped after the prefix [0, completed) was evaluated.
   void MarkPartialPrefix(size_t completed, size_t num_pairs,
                          Status stop_status);
+
+  /// A run that evaluated nothing: refused before the first pair (a
+  /// denied reservation, an unsafe memo) with `why` as its status.
+  static MatchResult NotStarted(size_t num_pairs, Status why) {
+    MatchResult r;
+    r.matches = Bitmap(num_pairs);
+    r.MarkPartialPrefix(0, num_pairs, std::move(why));
+    return r;
+  }
 };
 
 /// Precision/recall of predicted matches against ground-truth labels

@@ -78,6 +78,18 @@ Status MatchState::EnsureCapacity(size_t num_pairs, size_t num_features) {
   return Status::Ok();
 }
 
+Status MatchState::BeginRun(const MatchingFunction& fn, size_t num_pairs,
+                            size_t num_features) {
+  const bool reuse = initialized() && num_pairs_ == num_pairs;
+  EMDBG_RETURN_IF_ERROR(EnsureCapacity(num_pairs, num_features));
+  if (reuse) matches_.Fill(false);
+  for (const Rule& r : fn.rules()) {
+    RuleTrue(r.id()).Fill(false);
+    for (const Predicate& p : r.predicates()) PredFalse(p.id).Fill(false);
+  }
+  return Status::Ok();
+}
+
 Status MatchState::AttachBudget(MemoryBudget* budget) {
   if (budget == budget_) return Status::Ok();
   ReleaseBilling();

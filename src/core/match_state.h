@@ -49,6 +49,16 @@ class MatchState {
   /// small relative to the 4-byte-per-cell memo and stay unbilled.
   Status EnsureCapacity(size_t num_pairs, size_t num_features);
 
+  /// The serial preamble of every full run into this state: ensures
+  /// capacity (on denial the state is untouched), clears the match
+  /// bitmap, and materializes one zeroed RuleTrue / PredFalse bitmap per
+  /// rule and predicate of `fn` — even for rules that never fire, so
+  /// memory accounting matches the paper's setting (Sec. 6.1), and so
+  /// parallel workers never rehash the maps. The memo is kept
+  /// (cross-iteration reuse, Sec. 6).
+  Status BeginRun(const MatchingFunction& fn, size_t num_pairs,
+                  size_t num_features);
+
   /// Attaches `budget` (nullptr detaches) and bills the current memo
   /// bytes, for states loaded or adopted before a budget existed (resume,
   /// recovery). On denial the budget is not attached and the state is

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
-#include <mutex>
 
 #include "src/util/bitmap.h"
 
@@ -79,179 +78,13 @@ Status DenseMemo::LoadRawValues(const std::vector<float>& values) {
   return Status::Ok();
 }
 
-struct ShardedMemo::Shard {
-  mutable std::mutex mu;
-  std::unordered_map<uint64_t, float> map;
-  /// Bytes reserved from the budget for this shard (guarded by mu).
-  size_t billed = 0;
-  /// Recency stamp for coldest-first eviction (relaxed; approximate
-  /// ordering is fine for an eviction heuristic). Mutable: Lookup is
-  /// const but still counts as access.
-  mutable std::atomic<uint64_t> last_access{0};
-};
-
 namespace {
-
-size_t RoundUpPow2(size_t v) {
-  size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
 
 /// Billing chunk: reservations amortize over many Stores instead of one
 /// atomic round-trip per entry.
 constexpr size_t kMemoBillChunk = 64 * 1024;
 
 }  // namespace
-
-ShardedMemo::~ShardedMemo() {
-  if (budget_ == nullptr) return;
-  for (auto& shard : shards_) {
-    if (shard->billed > 0) budget_->Release(shard->billed);
-  }
-}
-
-ShardedMemo::ShardedMemo(size_t num_shards) {
-  // Power-of-two shard count makes the stripe function a mask.
-  shards_.resize(RoundUpPow2(std::max<size_t>(1, num_shards)));
-  for (auto& shard : shards_) shard = std::make_unique<Shard>();
-}
-
-size_t ShardedMemo::ShardBytes(const Shard& shard) {
-  return shard.map.size() * 48 + shard.map.bucket_count() * sizeof(void*);
-}
-
-void ShardedMemo::SetBudget(MemoryBudget* budget) {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    if (budget_ != nullptr && shard->billed > 0) {
-      budget_->Release(shard->billed);
-    }
-    shard->billed = 0;
-  }
-  budget_ = budget;
-  if (budget_ == nullptr) return;
-  // Bill what is already resident; denial here evicts via the normal
-  // pressure path on the next Store, so best-effort is fine.
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    const size_t bytes = ShardBytes(*shard);
-    if (bytes > 0 && budget_->Reserve(bytes, "memo.shard").ok()) {
-      shard->billed = bytes;
-    }
-  }
-}
-
-size_t ShardedMemo::EvictColdestShards(size_t want) {
-  // Snapshot (shard, recency) and walk coldest-first with try_lock: a
-  // shard mid-Store (or the very shard whose Store triggered this call)
-  // is skipped instead of deadlocked on.
-  std::vector<std::pair<uint64_t, Shard*>> order;
-  order.reserve(shards_.size());
-  for (auto& shard : shards_) {
-    order.emplace_back(shard->last_access.load(std::memory_order_relaxed),
-                       shard.get());
-  }
-  std::sort(order.begin(), order.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  size_t freed = 0;
-  for (const auto& [tick, shard] : order) {
-    if (freed >= want) break;
-    std::unique_lock<std::mutex> lock(shard->mu, std::try_to_lock);
-    if (!lock.owns_lock() || shard->map.empty()) continue;
-    shard->map.clear();
-    std::unordered_map<uint64_t, float>().swap(shard->map);
-    if (budget_ != nullptr && shard->billed > 0) {
-      budget_->Release(shard->billed);
-      freed += shard->billed;
-      shard->billed = 0;
-    }
-  }
-  if (freed > 0) evictions_.fetch_add(1, std::memory_order_relaxed);
-  return freed;
-}
-
-bool ShardedMemo::Lookup(size_t pair_index, FeatureId feature,
-                         double* value) const {
-  const Shard& shard = ShardFor(pair_index);
-  shard.last_access.store(access_clock_.fetch_add(1, std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.map.find(Key(pair_index, feature));
-  if (it == shard.map.end()) return false;
-  *value = static_cast<double>(it->second);
-  return true;
-}
-
-void ShardedMemo::Store(size_t pair_index, FeatureId feature,
-                        double value) {
-  Shard& shard = ShardFor(pair_index);
-  shard.last_access.store(
-      access_clock_.fetch_add(1, std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  shard.map[Key(pair_index, feature)] = static_cast<float>(value);
-  if (budget_ == nullptr) return;
-  const size_t bytes = ShardBytes(shard);
-  if (bytes <= shard.billed) return;
-  const size_t want = std::max(bytes - shard.billed, kMemoBillChunk);
-  if (budget_->Reserve(want, "memo.shard").ok()) {
-    shard.billed += want;
-    return;
-  }
-  // Pressure: make room by evicting colder shards (this one's mutex is
-  // held, so EvictColdestShards skips it), then retry once.
-  EvictColdestShards(want);
-  if (budget_->Reserve(want, "memo.shard").ok()) {
-    shard.billed += want;
-    return;
-  }
-  // Still denied: this shard itself is the overflow. Drop it — the memo
-  // is a cache, the values recompute on demand.
-  shard.map.clear();
-  std::unordered_map<uint64_t, float>().swap(shard.map);
-  if (shard.billed > 0) {
-    budget_->Release(shard.billed);
-    shard.billed = 0;
-  }
-  evictions_.fetch_add(1, std::memory_order_relaxed);
-}
-
-bool ShardedMemo::Contains(size_t pair_index, FeatureId feature) const {
-  const Shard& shard = ShardFor(pair_index);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.map.count(Key(pair_index, feature)) > 0;
-}
-
-size_t ShardedMemo::FilledCount() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->map.size();
-  }
-  return total;
-}
-
-size_t ShardedMemo::MemoryBytes() const {
-  size_t total = shards_.size() * sizeof(Shard);
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->map.size() * 48 +
-             shard->map.bucket_count() * sizeof(void*);
-  }
-  return total;
-}
-
-void ShardedMemo::Clear() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->map.clear();
-    if (budget_ != nullptr && shard->billed > 0) {
-      budget_->Release(shard->billed);
-    }
-    shard->billed = 0;
-  }
-}
 
 size_t HashMemo::MemoryBytes() const {
   // Approximate: node-based unordered_map — key + value + node/bucket

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -45,9 +44,8 @@ class Memo {
   /// *different pair rows* is safe (the parallel matcher's access
   /// pattern — each candidate pair is evaluated by exactly one worker).
   /// Implementations returning false (HashMemo: a rehash moves every
-  /// bucket) are rejected by ParallelMemoMatcher with a clear Status
-  /// instead of racing; wrap them in a ShardedMemo to share across
-  /// workers.
+  /// bucket) are rejected by pooled runs with a clear Status instead of
+  /// racing.
   virtual bool SafeForConcurrentRows() const { return false; }
 };
 
@@ -187,76 +185,6 @@ class HashMemo final : public Memo {
   std::unordered_map<uint64_t, float> map_;
   MemoryBudget* budget_ = nullptr;
   size_t billed_bytes_ = 0;
-};
-
-/// Sparse memo safe for concurrent workers: the key space is split into
-/// shards by pair index, each shard a mutex-protected hash map. Pair-row
-/// striping means one worker's pairs always land in the same shards it is
-/// already touching, so lock contention is limited to hash collisions of
-/// the stripe function — in practice near zero for the parallel matcher's
-/// disjoint-row access pattern. This is the low-fill-rate (Sec. 7.4)
-/// alternative when a dense pairs × features matrix is too large.
-class ShardedMemo final : public Memo {
- public:
-  static constexpr size_t kDefaultShards = 64;
-
-  explicit ShardedMemo(size_t num_shards = kDefaultShards);
-  ~ShardedMemo() override;  // out-of-line: Shard is incomplete here
-
-  bool Lookup(size_t pair_index, FeatureId feature,
-              double* value) const override;
-  void Store(size_t pair_index, FeatureId feature, double value) override;
-  bool Contains(size_t pair_index, FeatureId feature) const override;
-  size_t FilledCount() const override;
-  size_t MemoryBytes() const override;
-  void Clear() override;
-
-  bool SafeForConcurrentRows() const override { return true; }
-
-  size_t num_shards() const { return shards_.size(); }
-
-  /// Attaches a memory budget (nullptr detaches and releases billing).
-  /// Each shard bills its growth in chunks under its own mutex; when a
-  /// reservation is denied, the memo first evicts its coldest shards
-  /// (least-recently-accessed; recomputable cache, so always safe) and
-  /// retries, and if the budget still refuses it drops the overflowing
-  /// shard itself. Stores never fail — they just stop caching. The
-  /// budget must outlive the memo.
-  void SetBudget(MemoryBudget* budget);
-
-  /// Evicts least-recently-accessed shards until at least `want` billed
-  /// bytes are freed or all evictable shards are empty; returns the bytes
-  /// freed. Shards whose lock is currently held (a concurrent Store) are
-  /// skipped, which also makes this safe to call from within a budget
-  /// reclaimer while some worker is mid-Store.
-  size_t EvictColdestShards(size_t want);
-
-  /// Evictions performed by budget pressure (self-evictions + explicit
-  /// EvictColdestShards calls that freed something).
-  uint64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
-
- private:
-  struct Shard;
-
-  static uint64_t Key(size_t pair_index, FeatureId feature) {
-    return (static_cast<uint64_t>(pair_index) << 32) |
-           static_cast<uint64_t>(feature);
-  }
-  const Shard& ShardFor(size_t pair_index) const {
-    return *shards_[pair_index & (shards_.size() - 1)];
-  }
-  Shard& ShardFor(size_t pair_index) {
-    return *shards_[pair_index & (shards_.size() - 1)];
-  }
-  /// Current heap estimate of one shard's map (caller holds its mutex).
-  static size_t ShardBytes(const Shard& shard);
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-  MemoryBudget* budget_ = nullptr;
-  mutable std::atomic<uint64_t> access_clock_{1};
-  std::atomic<uint64_t> evictions_{0};
 };
 
 }  // namespace emdbg

@@ -25,32 +25,11 @@ MatchResult MemoMatcher::RunWithState(const MatchingFunction& fn,
                                       const CandidateSet& pairs,
                                       PairContext& ctx, MatchState& state,
                                       const RunControl& control) {
-  const bool reuse =
-      state.initialized() && state.num_pairs() == pairs.size();
   // Budget-aware allocation: a session over quota gets a clean
   // ResourceExhausted result (zero pairs evaluated, state untouched)
   // instead of bad_alloc.
-  Status cap = state.EnsureCapacity(pairs.size(), ctx.catalog().size());
-  if (!cap.ok()) {
-    MatchResult denied;
-    denied.matches = Bitmap(pairs.size());
-    denied.evaluated = Bitmap(pairs.size());
-    denied.partial = true;
-    denied.pairs_completed = 0;
-    denied.status = cap;
-    return denied;
-  }
-  // Keep the memo on reuse (cross-iteration); rebuild decision bitmaps.
-  if (reuse) state.matches().Fill(false);
-  // Materialize one bitmap per rule and per predicate (Sec. 6.1) — even
-  // for rules that never fire, so memory accounting matches the paper's
-  // setting. Re-initializing in place keeps prior allocations.
-  for (const Rule& r : fn.rules()) {
-    state.RuleTrue(r.id()).Fill(false);
-    for (const Predicate& p : r.predicates()) {
-      state.PredFalse(p.id).Fill(false);
-    }
-  }
+  Status begun = state.BeginRun(fn, pairs.size(), ctx.catalog().size());
+  if (!begun.ok()) return MatchResult::NotStarted(pairs.size(), begun);
   MatchResult result = RunImpl(fn, pairs, ctx, &state, state.memo(),
                                control);
   state.matches() = result.matches;

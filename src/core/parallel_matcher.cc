@@ -34,16 +34,11 @@ MatchResult ParallelMemoMatcher::RunWithMemo(const MatchingFunction& fn,
                                              PairContext& ctx, Memo& memo,
                                              const RunControl& control) {
   if (!memo.SafeForConcurrentRows() && pool().num_workers() > 1) {
-    MatchResult result;
-    result.matches = Bitmap(pairs.size());
-    result.evaluated = Bitmap(pairs.size());
-    result.partial = true;
-    result.pairs_completed = 0;
-    result.status = Status::InvalidArgument(
-        "memo is not safe for concurrent Store (HashMemo rehash moves "
-        "every bucket); use DenseMemo, wrap it in a ShardedMemo, or run "
-        "single-threaded");
-    return result;
+    return MatchResult::NotStarted(
+        pairs.size(),
+        Status::InvalidArgument(
+            "memo is not safe for concurrent Store (HashMemo rehash moves "
+            "every bucket); use DenseMemo or run single-threaded"));
   }
   return RunImpl(fn, pairs, ctx, nullptr, memo, control);
 }
@@ -53,27 +48,8 @@ MatchResult ParallelMemoMatcher::RunWithState(const MatchingFunction& fn,
                                               PairContext& ctx,
                                               MatchState& state,
                                               const RunControl& control) {
-  const bool reuse =
-      state.initialized() && state.num_pairs() == pairs.size();
-  Status cap = state.EnsureCapacity(pairs.size(), ctx.catalog().size());
-  if (!cap.ok()) {
-    MatchResult denied;
-    denied.matches = Bitmap(pairs.size());
-    denied.evaluated = Bitmap(pairs.size());
-    denied.partial = true;
-    denied.pairs_completed = 0;
-    denied.status = cap;
-    return denied;
-  }
-  if (reuse) state.matches().Fill(false);
-  // Serial phase: materialize every decision bitmap before workers start
-  // (MatchState's map must not rehash under concurrent first access).
-  for (const Rule& r : fn.rules()) {
-    state.RuleTrue(r.id()).Fill(false);
-    for (const Predicate& p : r.predicates()) {
-      state.PredFalse(p.id).Fill(false);
-    }
-  }
+  Status begun = state.BeginRun(fn, pairs.size(), ctx.catalog().size());
+  if (!begun.ok()) return MatchResult::NotStarted(pairs.size(), begun);
   MatchResult result =
       RunImpl(fn, pairs, ctx, &state, state.memo(), control);
   state.matches() = result.matches;
@@ -85,16 +61,29 @@ MatchResult ParallelMemoMatcher::RunImpl(const MatchingFunction& fn,
                                          PairContext& ctx,
                                          MatchState* state, Memo& memo,
                                          const RunControl& control) {
-  Stopwatch timer;
   ThreadPool& pool = this->pool();
-  const size_t workers = pool.num_workers();
+  if (options_.block_size != kPerPairLoop) {
+    const BlockMatcher::Options block_options{
+        .block_size = options_.block_size,
+        .cost_model = options_.cost_model,
+        .budget = options_.budget,
+        .pool = &pool};
+    // A caller grain in pairs converts to whole blocks.
+    const size_t block = BlockMatcher::ResolveBlockSize(block_options, fn);
+    const BlockMatcher::Schedule schedule{
+        .grain = options_.grain == 0
+                     ? 0
+                     : std::max<size_t>(1, options_.grain / block),
+        .steal = options_.dynamic_schedule,
+        .per_worker_stats = options_.per_worker_stats};
+    return BlockMatcher(block_options)
+        .RunImpl(fn, pairs, ctx, state, &memo, control, schedule);
+  }
 
+  Stopwatch timer;
+  const size_t workers = pool.num_workers();
   // Serial phase: make all shared context state read-only for workers.
   ctx.Prewarm(fn.UsedFeatures(), &pool);
-
-  if (options_.block_size != 1) {
-    return RunBlocks(fn, pairs, ctx, state, memo, control, pool, timer);
-  }
 
   MatchResult result;
   result.matches = Bitmap(pairs.size());
@@ -113,11 +102,7 @@ MatchResult ParallelMemoMatcher::RunImpl(const MatchingFunction& fn,
       options_.budget, workers * (sizeof(WorkerState) + kScratchAllowance),
       "match.scratch");
   if (!scratch_bytes.ok()) {
-    result.evaluated = Bitmap(pairs.size());
-    result.partial = true;
-    result.pairs_completed = 0;
-    result.status = scratch_bytes.status();
-    return result;
+    return MatchResult::NotStarted(pairs.size(), scratch_bytes.status());
   }
   std::vector<WorkerState> worker_state(workers);
 
@@ -180,89 +165,6 @@ MatchResult ParallelMemoMatcher::RunImpl(const MatchingFunction& fn,
     result.pairs_completed = run.items_completed;
     for (const auto& [begin, end] : run.completed) {
       for (size_t i = begin; i < end; ++i) result.evaluated.Set(i);
-    }
-  }
-  result.stats.elapsed_ms = timer.ElapsedMillis();
-  return result;
-}
-
-MatchResult ParallelMemoMatcher::RunBlocks(const MatchingFunction& fn,
-                                           const CandidateSet& pairs,
-                                           PairContext& ctx,
-                                           MatchState* state, Memo& memo,
-                                           const RunControl& control,
-                                           ThreadPool& pool,
-                                           const Stopwatch& timer) {
-  const size_t workers = pool.num_workers();
-  MatchResult result;
-  result.matches = Bitmap(pairs.size());
-  result.MarkComplete(pairs.size());
-
-  BlockMatcher::Options bopts;
-  bopts.block_size = options_.block_size;
-  bopts.cost_model = options_.cost_model;
-  BlockEvaluator eval(fn, pairs, ctx, &memo, state,
-                      BlockMatcher::ResolveBlockSize(bopts, fn));
-  const size_t block = eval.block_size();
-
-  struct alignas(64) BlockWorker {
-    MatchStats stats;
-    BlockEvaluator::Scratch scratch;
-  };
-  // Block scratch dominates per-worker memory here (feature columns +
-  // masks per worker), so reserve the real figure, not an allowance.
-  Result<MemoryReservation> scratch_bytes = MemoryReservation::Make(
-      options_.budget,
-      workers * (sizeof(BlockWorker) + eval.ScratchBytes()),
-      "match.scratch");
-  if (!scratch_bytes.ok()) {
-    result.evaluated = Bitmap(pairs.size());
-    result.partial = true;
-    result.pairs_completed = 0;
-    result.status = scratch_bytes.status();
-    return result;
-  }
-  std::vector<BlockWorker> worker_state(workers);
-  for (BlockWorker& ws : worker_state) eval.InitScratch(ws.scratch);
-
-  // One item = one block. Blocks already own disjoint 64-aligned pair
-  // ranges (disjoint bitmap words, disjoint memo rows), so the pool's
-  // chunk alignment drops to 1 — small block counts still spread across
-  // all workers. A caller grain in pairs converts to whole blocks.
-  auto body = [&](size_t w, size_t b) {
-    BlockWorker& ws = worker_state[w];
-    eval.EvalBlock(b, result.matches, ws.stats, ws.scratch);
-  };
-  const ThreadPool::ForResult run = pool.ParallelFor(
-      eval.num_blocks(), control, body,
-      ThreadPool::ForOptions{
-          .grain = options_.grain == 0
-                       ? 0
-                       : std::max<size_t>(1, options_.grain / block),
-          .steal = options_.dynamic_schedule,
-          .align = 1});
-
-  for (const BlockWorker& ws : worker_state) result.stats += ws.stats;
-  if (options_.per_worker_stats != nullptr) {
-    options_.per_worker_stats->clear();
-    for (const BlockWorker& ws : worker_state) {
-      options_.per_worker_stats->push_back(ws.stats);
-    }
-  }
-  if (run.stopped) {
-    // Completed *block* ranges map to pair ranges by scaling: block b
-    // covers pairs [b*B, min((b+1)*B, n)).
-    result.partial = true;
-    result.status = run.status;
-    result.evaluated = Bitmap(pairs.size());
-    result.pairs_completed = 0;
-    for (const auto& [begin, end] : run.completed) {
-      const size_t pair_begin = begin * block;
-      const size_t pair_end = std::min(end * block, pairs.size());
-      result.pairs_completed += pair_end - pair_begin;
-      for (size_t i = pair_begin; i < pair_end; ++i) {
-        result.evaluated.Set(i);
-      }
     }
   }
   result.stats.elapsed_ms = timer.ElapsedMillis();

@@ -4,7 +4,6 @@
 #include "src/core/cost_model.h"
 #include "src/core/match_state.h"
 #include "src/core/matcher.h"
-#include "src/util/stopwatch.h"
 #include "src/util/thread_pool.h"
 
 namespace emdbg {
@@ -30,11 +29,16 @@ namespace emdbg {
 /// counters — is bit-identical to the serial MemoMatcher for every
 /// thread count and schedule.
 ///
-/// An extension beyond the paper (which is single-threaded Java); the
-/// speedup compounds with the paper's techniques since they all reduce
-/// per-pair work.
+/// An extension beyond the paper (which is single-threaded Java). No
+/// production path runs the per-pair loop — full runs go through
+/// BlockMatcher with a pool — so it serves as the parallel test oracle and
+/// bench_parallel's scheduler baseline; its block mode is BlockMatcher
+/// with this matcher's scheduling knobs.
 class ParallelMemoMatcher final : public Matcher {
  public:
+  /// Options::block_size value that selects the per-pair loop.
+  static constexpr size_t kPerPairLoop = 1;
+
   struct Options {
     /// Used only when `pool` is null: 0 = hardware_concurrency(). A
     /// private pool is then created (and its threads spawned) per Run —
@@ -58,17 +62,17 @@ class ParallelMemoMatcher final : public Matcher {
     /// denied reservation yields a clean ResourceExhausted result with
     /// zero pairs evaluated. The budget must outlive the run.
     MemoryBudget* budget = nullptr;
-    /// Pairs per columnar block. 1 (the default) = the classic per-pair
-    /// loop above. Any other value switches to the BlockEvaluator: each
-    /// 64-aligned block of pairs becomes the work-stealing unit, one
-    /// feature is evaluated across the whole block at a time, and rules
-    /// combine via bitmap algebra (see src/core/block_matcher.h). 0 =
-    /// auto-size (BlockMatcher::AutoBlockSize); explicit values round up
-    /// to a multiple of 64. Results stay bit-identical either way;
-    /// check_cache_first is ignored in block mode (block semantics are
-    /// the ccf-off ordering), and cancellation is checked once per block
-    /// instead of once per pair.
-    size_t block_size = 1;
+    /// Pairs per columnar block. kPerPairLoop (1, the default) = the
+    /// per-pair loop above, kept as a test oracle and scheduler baseline.
+    /// Any other value runs the production BlockMatcher on this matcher's
+    /// pool: each 64-aligned block of pairs becomes the work-stealing
+    /// unit, and grain, dynamic_schedule and per_worker_stats apply to
+    /// blocks. 0 = auto-size (BlockMatcher::AutoBlockSize); explicit
+    /// values round up to a multiple of 64. Results stay bit-identical
+    /// either way; check_cache_first is ignored in block mode (block
+    /// semantics are the ccf-off ordering), and cancellation is checked
+    /// once per block instead of once per pair.
+    size_t block_size = kPerPairLoop;
     /// Optional cost model for the auto block size (block mode only).
     const CostModel* cost_model = nullptr;
   };
@@ -88,7 +92,7 @@ class ParallelMemoMatcher final : public Matcher {
 
   /// Runs against a caller-supplied memo whose prior contents are
   /// reused. The memo must be safe for concurrent distinct-row access
-  /// (DenseMemo, ShardedMemo); a memo that is not (HashMemo) yields an
+  /// (DenseMemo); a memo that is not (HashMemo) yields an
   /// InvalidArgument result with zero pairs evaluated instead of a data
   /// race.
   MatchResult RunWithMemo(const MatchingFunction& fn,
@@ -113,14 +117,6 @@ class ParallelMemoMatcher final : public Matcher {
   MatchResult RunImpl(const MatchingFunction& fn, const CandidateSet& pairs,
                       PairContext& ctx, MatchState* state, Memo& memo,
                       const RunControl& control);
-
-  /// Block-mode body of RunImpl (Options::block_size != 1): blocks are
-  /// the scheduling unit; each worker owns a BlockEvaluator::Scratch.
-  MatchResult RunBlocks(const MatchingFunction& fn,
-                        const CandidateSet& pairs, PairContext& ctx,
-                        MatchState* state, Memo& memo,
-                        const RunControl& control, ThreadPool& pool,
-                        const Stopwatch& timer);
 
   /// The configured pool, creating a private one on first use if none
   /// was supplied.

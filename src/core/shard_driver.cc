@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "src/core/block_matcher.h"
-#include "src/core/parallel_matcher.h"
 #include "src/core/state_io.h"
 #include "src/util/fault_injection.h"
 #include "src/util/stopwatch.h"
@@ -36,7 +35,7 @@ struct ShardedMatchDriver::SpillJob {
 };
 
 ShardedMatchDriver::ShardedMatchDriver(Options options)
-    : options_(std::move(options)) {}
+    : options_(std::move(options)), spill_dir_(options_.spill_dir, "shards") {}
 
 ShardedMatchDriver::~ShardedMatchDriver() = default;
 
@@ -55,10 +54,6 @@ size_t ShardedMatchDriver::AutoShardPairs(const MemoryBudget* budget,
   return pairs;
 }
 
-std::string ShardedMatchDriver::ShardStatePath(size_t shard) const {
-  return options_.spill_dir + "/shard-" + std::to_string(shard) + ".state";
-}
-
 Status ShardedMatchDriver::DrainSpill() {
   if (inflight_ == nullptr) return Status::Ok();
   if (inflight_->thread.joinable()) inflight_->thread.join();
@@ -68,8 +63,8 @@ Status ShardedMatchDriver::DrainSpill() {
   return s;
 }
 
-Status ShardedMatchDriver::SpillState(MatchState state, size_t shard) {
-  const std::string path = ShardStatePath(shard);
+Status ShardedMatchDriver::SpillState(MatchState state,
+                                      const std::string& path) {
   // One injection point covers both the sync and async paths: a denied
   // spill must fail the run cleanly, never corrupt merged results.
   if (FaultFire("spill.write")) {
@@ -96,6 +91,18 @@ Status ShardedMatchDriver::SpillState(MatchState state, size_t shard) {
   return Status::Ok();
 }
 
+MatchResult ShardedMatchDriver::EvalShard(const MatchingFunction& fn,
+                                          const CandidateSet& shard,
+                                          PairContext& ctx, MatchState& state,
+                                          const RunControl& control) const {
+  BlockMatcher matcher(BlockMatcher::Options{
+      .block_size = options_.block_size,
+      .cost_model = options_.cost_model,
+      .budget = options_.budget,
+      .pool = options_.pool});
+  return matcher.RunWithState(fn, shard, ctx, state, control);
+}
+
 Status ShardedMatchDriver::ProcessShard(const MatchingFunction& fn,
                                         std::vector<PairId> shard_pair_vec,
                                         size_t global_offset,
@@ -119,21 +126,7 @@ Status ShardedMatchDriver::ProcessShard(const MatchingFunction& fn,
   }
   if (!cap.ok()) return cap;
 
-  MatchResult inner;
-  if (options_.pool != nullptr && options_.pool->num_workers() > 1) {
-    ParallelMemoMatcher matcher(ParallelMemoMatcher::Options{
-        .pool = options_.pool,
-        .budget = options_.budget,
-        .block_size = options_.block_size == 1 ? 0 : options_.block_size,
-        .cost_model = options_.cost_model});
-    inner = matcher.RunWithState(fn, shard_set, ctx, state, control);
-  } else {
-    BlockMatcher matcher(BlockMatcher::Options{
-        .block_size = options_.block_size,
-        .cost_model = options_.cost_model,
-        .budget = options_.budget});
-    inner = matcher.RunWithState(fn, shard_set, ctx, state, control);
-  }
+  MatchResult inner = EvalShard(fn, shard_set, ctx, state, control);
 
   // Merge what was evaluated — even a partial shard's completed bits are
   // valid (the inner engines only set bits they fully decided).
@@ -157,8 +150,11 @@ Status ShardedMatchDriver::ProcessShard(const MatchingFunction& fn,
   info.begin = global_offset;
   info.end = global_offset + n;
   if (options_.keep_state) {
-    info.state_path = ShardStatePath(shard_index);
-    EMDBG_RETURN_IF_ERROR(SpillState(std::move(state), shard_index));
+    Result<std::string> path =
+        spill_dir_.File("shard-" + std::to_string(shard_index) + ".state");
+    if (!path.ok()) return path.status();
+    info.state_path = *path;
+    EMDBG_RETURN_IF_ERROR(SpillState(std::move(state), info.state_path));
   }
   shards_.push_back(std::move(info));
   return Status::Ok();
@@ -305,21 +301,7 @@ MatchResult ShardedMatchDriver::Rematch(const MatchingFunction& fn,
                               pairs.pairs().begin() + info.end);
     CandidateSet shard_set(std::move(shard));
 
-    MatchResult inner;
-    if (options_.pool != nullptr && options_.pool->num_workers() > 1) {
-      ParallelMemoMatcher matcher(ParallelMemoMatcher::Options{
-          .pool = options_.pool,
-          .budget = options_.budget,
-          .block_size = options_.block_size == 1 ? 0 : options_.block_size,
-          .cost_model = options_.cost_model});
-      inner = matcher.RunWithState(fn, shard_set, ctx, state, control);
-    } else {
-      BlockMatcher matcher(BlockMatcher::Options{
-          .block_size = options_.block_size,
-          .cost_model = options_.cost_model,
-          .budget = options_.budget});
-      inner = matcher.RunWithState(fn, shard_set, ctx, state, control);
-    }
+    MatchResult inner = EvalShard(fn, shard_set, ctx, state, control);
     if (inner.partial) return fail(inner.status);
     stats += inner.stats;
 
@@ -329,7 +311,7 @@ MatchResult ShardedMatchDriver::Rematch(const MatchingFunction& fn,
     matches_.AndNotSpan(info.begin, ones.words().data(), n);
     matches_.OrSpan(info.begin, inner.matches.words().data(), n);
 
-    Status spilled = SpillState(std::move(state), i);
+    Status spilled = SpillState(std::move(state), info.state_path);
     if (!spilled.ok()) return fail(spilled);
   }
   Status drained = DrainSpill();

@@ -2,6 +2,7 @@
 #define EMDBG_CORE_SHARD_DRIVER_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "src/core/match_state.h"
 #include "src/core/matcher.h"
 #include "src/util/memory_budget.h"
+#include "src/util/spill_file.h"
 #include "src/util/thread_pool.h"
 
 namespace emdbg {
@@ -23,11 +25,14 @@ namespace emdbg {
 /// `Options::shard_pairs` — or derived from the MemoryBudget — not by the
 /// candidate count.
 ///
-/// Pipeline per shard: slice pairs → BlockEvaluator (via BlockMatcher or
-/// ParallelMemoMatcher when a pool is given) fills a shard MatchState →
+/// Pipeline per shard: slice pairs → BlockMatcher (on the pool when one is
+/// given) fills a shard MatchState →
 /// match bits merge into the global bitmap at the shard's offset → the
-/// state spills to `spill_dir/shard-<i>.state` (state_io v2 container,
-/// CRC-checked) on a background IO thread while the next shard evaluates.
+/// state spills to `shard-<i>.state` (state_io v2 container, CRC-checked)
+/// on a background IO thread while the next shard evaluates. The files
+/// live in the driver's private `shards-XXXXXX` subdirectory of
+/// `spill_dir`, removed with the driver, so drivers sharing a spill_dir
+/// never see each other's state.
 ///
 /// Bit-identity: shard boundaries are multiples of 64, so every output
 /// bitmap word belongs to exactly one shard and merging is pure word ORs.
@@ -57,14 +62,15 @@ class ShardedMatchDriver {
     /// Pairs per shard; 0 = derive from `budget` and the feature-catalog
     /// width (AutoShardPairs). Rounded up to a multiple of 64.
     size_t shard_pairs = 0;
-    /// Directory for spilled shard state (must exist). Required when
-    /// `keep_state` is true.
+    /// Directory for spilled shard state (must exist; each driver spills
+    /// into its own subdirectory of it). Required when `keep_state` is
+    /// true.
     std::string spill_dir;
     /// Accountant for shard state, scratch and spill buffers; also the
     /// default source of the auto shard size. May be null (unbudgeted).
     MemoryBudget* budget = nullptr;
-    /// Borrowed pool: shards evaluate with the parallel block engine
-    /// instead of the serial one. Null = serial. Results are identical.
+    /// Borrowed pool: each shard's blocks fan out across its workers.
+    /// Null = serial. Results are identical.
     ThreadPool* pool = nullptr;
     /// Inner block size (see BlockMatcher::Options); 0 = auto.
     size_t block_size = 0;
@@ -147,17 +153,20 @@ class ShardedMatchDriver {
                       const RunControl& control, MatchResult* out,
                       MatchStats* stats);
 
+  /// Runs the block engine over one shard into its state.
+  MatchResult EvalShard(const MatchingFunction& fn, const CandidateSet& shard,
+                        PairContext& ctx, MatchState& state,
+                        const RunControl& control) const;
+
   MatchResult RunShardsFromSet(const MatchingFunction& fn,
                                const CandidateSet& pairs, PairContext& ctx,
                                const RunControl& control);
 
   /// Waits for the in-flight spill (if any) and surfaces its status.
   Status DrainSpill();
-  /// Spills `state` for shard index `shard` (synchronously or on the IO
-  /// thread, per Options::double_buffer).
-  Status SpillState(MatchState state, size_t shard);
-
-  std::string ShardStatePath(size_t shard) const;
+  /// Spills `state` to `path` (synchronously or on the IO thread, per
+  /// Options::double_buffer).
+  Status SpillState(MatchState state, const std::string& path);
 
   Options options_;
   size_t shard_pairs_ = 0;
@@ -166,6 +175,9 @@ class ShardedMatchDriver {
   uint64_t spilled_bytes_ = 0;
   bool last_run_complete_ = false;
 
+  /// This driver's private subdirectory of spill_dir. Declared before
+  /// inflight_ so the in-flight spill is joined before it is removed.
+  SpillDir spill_dir_;
   std::unique_ptr<SpillJob> inflight_;
 };
 

@@ -163,8 +163,10 @@ void Bitmap::OrSpan(size_t bit_offset, const uint64_t* words, size_t nbits) {
   const size_t w = bitspan::Words(nbits);
   if (w == 0) return;
   for (size_t i = 0; i + 1 < w; ++i) words_[w0 + i] |= words[i];
+  // No TrimTail(): the span is tail-masked and lies inside size(), so the
+  // bitmap's tail stays clear — and a read-modify-write of the last word
+  // here would race with the worker that owns the final block.
   words_[w0 + w - 1] |= words[w - 1] & bitspan::TailMask(nbits);
-  TrimTail();
 }
 
 void Bitmap::AndNotSpan(size_t bit_offset, const uint64_t* words,

@@ -1,8 +1,13 @@
 #include "src/util/spill_file.h"
 
+#include <stdlib.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
+#include <filesystem>
 #include <utility>
+#include <vector>
 
 #include "src/util/crc32c.h"
 #include "src/util/fault_injection.h"
@@ -290,6 +295,37 @@ bool SpillReader::AtEnd() {
   Status s = FillBuffer();
   if (s.ok()) return false;
   return s.code() == StatusCode::kOutOfRange;
+}
+
+SpillDir& SpillDir::operator=(SpillDir&& other) noexcept {
+  if (this != &other) {
+    Remove();
+    parent_ = std::move(other.parent_);
+    prefix_ = std::move(other.prefix_);
+    path_ = std::exchange(other.path_, std::string());
+  }
+  return *this;
+}
+
+Result<std::string> SpillDir::File(const std::string& name) {
+  if (path_.empty()) {
+    std::string pattern = parent_ + "/" + prefix_ + "-XXXXXX";
+    std::vector<char> buf(pattern.begin(), pattern.end());
+    buf.push_back('\0');
+    if (::mkdtemp(buf.data()) == nullptr) {
+      return Status::IoError("spill dir: cannot create '" + pattern +
+                             "': " + std::strerror(errno));
+    }
+    path_ = buf.data();
+  }
+  return path_ + "/" + name;
+}
+
+void SpillDir::Remove() {
+  if (path_.empty()) return;
+  std::error_code ec;
+  std::filesystem::remove_all(path_, ec);  // best effort: scratch only
+  path_.clear();
 }
 
 }  // namespace emdbg

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <string>
 #include <type_traits>
+#include <utility>
 
 #include "src/util/memory_budget.h"
 #include "src/util/status.h"
@@ -162,6 +163,37 @@ class SpillReader {
   MemoryBudget* budget_ = nullptr;
   size_t billed_ = 0;
   bool failed_ = false;
+};
+
+/// A private subdirectory of a shared spill directory: created with
+/// mkdtemp on first use, removed with everything in it on destruction.
+/// Each out-of-core instance (shard driver, external sorter) spills into
+/// its own, so concurrent runs pointed at one spill directory — parallel
+/// test processes, two tools sharing --spill-dir — never read or
+/// overwrite each other's files.
+class SpillDir {
+ public:
+  SpillDir() = default;
+  /// Subdirectories are named `<prefix>-XXXXXX` under `parent`.
+  SpillDir(std::string parent, std::string prefix)
+      : parent_(std::move(parent)), prefix_(std::move(prefix)) {}
+  ~SpillDir() { Remove(); }
+
+  SpillDir(SpillDir&& other) noexcept { *this = std::move(other); }
+  SpillDir& operator=(SpillDir&& other) noexcept;
+  SpillDir(const SpillDir&) = delete;
+  SpillDir& operator=(const SpillDir&) = delete;
+
+  /// `<subdir>/<name>`, creating the subdirectory on first call. IoError
+  /// when the parent is missing or not writable.
+  Result<std::string> File(const std::string& name);
+
+ private:
+  void Remove();
+
+  std::string parent_;
+  std::string prefix_;
+  std::string path_;  ///< empty until created
 };
 
 }  // namespace emdbg

@@ -86,7 +86,10 @@ void ThreadPool::ThreadLoop(size_t worker) {
 }
 
 void ThreadPool::RunWorker(Job& job, size_t w) {
-  StopCheck stop(*job.control);
+  // An item may be a whole block of pairs, so the deadline clock is read
+  // at every item, not at StopCheck's per-pair stride; only runs with a
+  // deadline pay for the read.
+  StopCheck stop(*job.control, /*deadline_stride=*/1);
   std::vector<std::pair<size_t, size_t>>& done = job.completed[w];
 
   // Runs one claimed chunk; false = the run was stopped inside it. The

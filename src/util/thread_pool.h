@@ -36,8 +36,8 @@ namespace emdbg {
 /// matching engine record per-rule/per-predicate decision bitmaps from
 /// concurrent workers with zero locking.
 ///
-/// Cancellation: `ParallelFor` checks the `RunControl` once per item (the
-/// same once-per-pair contract as the serial matchers). On a stop, every
+/// Cancellation: `ParallelFor` checks the `RunControl` — token and
+/// deadline clock — once per item, a pair or a whole block of pairs. On a stop, every
 /// worker drains cleanly — no detached threads — and the result reports
 /// the *exact* set of items whose body ran, as disjoint index ranges;
 /// callers translate those into a partial result's `evaluated` bitmap.

@@ -16,6 +16,7 @@
 #include "src/core/rule_generator.h"
 #include "src/core/sampler.h"
 #include "src/util/memory_budget.h"
+#include "src/util/thread_pool.h"
 #include "tests/test_util.h"
 
 namespace emdbg {
@@ -294,6 +295,70 @@ TEST_F(BlockMatcherTest, DegradedContextStaysBitIdentical) {
   BlockMatcher block(BlockMatcher::Options{.block_size = 256});
   const MatchResult r = block.Run(*fn_, ds_->candidates, degraded);
   EXPECT_EQ(r.matches, expected);
+}
+
+// Regression: Bitmap::OrSpan used to end with a read-modify-write of the
+// bitmap's last word (TrimTail), which raced with the worker that owns
+// the final block — 2-worker warm reruns dropped up to `n & 63` match
+// bits now and then. Warm reruns are pure memo probes, so blocks finish
+// fast and the span writes of both workers interleave densely.
+TEST(PooledBlockRerunTest, WarmRerunsNeverDropMatches) {
+  DatasetProfile p;
+  p.name = "rerun_products";
+  p.table_a_rows = 250;
+  p.table_b_rows = 500;
+  p.candidate_pairs = 6000;
+  p.twin_fraction = 0.4;
+  p.attributes = {
+      {"title", AttrKind::kTitle, 0.5, 0.02},
+      {"modelno", AttrKind::kModelNo, 0.3, 0.05},
+      {"brand", AttrKind::kBrand, 0.25, 0.02},
+      {"price", AttrKind::kPrice, 0.5, 0.1},
+  };
+  p.seed = 11;
+  const GeneratedDataset ds = GenerateDataset(p);
+  ASSERT_NE(ds.candidates.size() % 64, 0u)
+      << "the final block must end in a partial bitmap word";
+  FeatureCatalog catalog(ds.a.schema(), ds.b.schema());
+  catalog.InternAllSameAttribute();
+  PairContext ctx(ds.a, ds.b, catalog);
+  // Many rules of up to five predicates: every block ORs many spans into
+  // the match and decision bitmaps, so the workers' writes interleave.
+  Rng rng(7);
+  const CandidateSet sample = SamplePairs(ds.candidates, 0.05, rng);
+  RuleGeneratorConfig config;
+  config.num_rules = 20;
+  config.min_predicates = 1;
+  config.max_predicates = 5;
+  config.seed = 3;
+  const MatchingFunction fn = RuleGenerator(ctx, sample, config).Generate();
+
+  MatchState serial_state;
+  const MatchResult serial =
+      MemoMatcher().RunWithState(fn, ds.candidates, ctx, serial_state);
+
+  ThreadPool pool(2);
+  BlockMatcher block(BlockMatcher::Options{.block_size = 64, .pool = &pool});
+  MatchState state;
+  MatchResult first = block.RunWithState(fn, ds.candidates, ctx, state);
+  ASSERT_FALSE(first.partial) << first.status.ToString();
+  ExpectSameCounters(first.stats, serial.stats);
+  ExpectSameState(fn, state, serial_state);
+
+  // TSan flags the race on its first occurrence; the repeat count is for
+  // the uninstrumented build, where a drop needs an unlucky interleaving.
+#if defined(__SANITIZE_THREAD__)
+  constexpr int kReruns = 20;
+#else
+  constexpr int kReruns = 500;
+#endif
+  int dropped_reruns = 0;
+  for (int rerun = 0; rerun < kReruns; ++rerun) {
+    const MatchResult r = block.RunWithState(fn, ds.candidates, ctx, state);
+    if (r.matches != serial.matches) ++dropped_reruns;
+  }
+  EXPECT_EQ(dropped_reruns, 0) << "of " << kReruns << " warm reruns";
+  ExpectSameState(fn, state, serial_state);
 }
 
 }  // namespace

@@ -345,5 +345,28 @@ TEST_F(CancellationTest, DebugSessionDeadlineReturnsPromptPartial) {
   EXPECT_EQ(full.matches, fresh.Run());
 }
 
+// Same on a 2-worker session: pooled full runs hand out whole blocks, so
+// the pool must read the deadline clock at every block, not every 32nd.
+TEST_F(CancellationTest, PooledSessionDeadlineReturnsPromptPartial) {
+  GeneratedDataset big = BigProducts(17, 60000);
+  DebugSession session(std::move(big.a), std::move(big.b),
+                       std::move(big.candidates),
+                       DebugSession::Options{.num_threads = 2});
+  ASSERT_TRUE(session
+                  .AddRuleText("r1: jaro(title, title) >= 0.02 AND "
+                               "jaro_winkler(title, title) >= 0.02 AND "
+                               "levenshtein(title, title) >= 0.02")
+                  .ok());
+
+  Stopwatch timer;
+  const MatchResult partial =
+      session.Run(RunControl(Deadline::AfterMillis(50)));
+  const double elapsed = timer.ElapsedMillis();
+  ASSERT_TRUE(partial.partial)
+      << "50ms deadline did not trip on the big dataset";
+  EXPECT_EQ(partial.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_LT(elapsed, 500.0);
+}
+
 }  // namespace
 }  // namespace emdbg

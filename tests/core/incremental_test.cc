@@ -263,15 +263,13 @@ TEST_F(IncrementalTest, RandomEditSequenceStaysConsistent) {
   }
 }
 
-// Same property with the affected-pair re-matching fanned out over a
-// work-stealing pool (min_parallel_pairs = 0 forces the parallel path
-// even on this small dataset). Every edit's result must be identical to
-// the serial oracle regardless of scheduling.
+// Same property with full runs fanned out over a work-stealing pool.
+// Every edit's result must be identical to the serial oracle regardless
+// of scheduling.
 TEST_F(IncrementalTest, RandomEditsConsistentWithWorkerPool) {
   ThreadPool pool(4);
   IncrementalMatcher inc(*ctx_, ds_.candidates,
-                         IncrementalMatcher::Options{
-                             .pool = &pool, .min_parallel_pairs = 0});
+                         IncrementalMatcher::Options{.pool = &pool});
   inc.FullRun(gen_->Generate());
   Rng rng(8);  // same seed as RandomEditSequenceStaysConsistent
   for (int step = 0; step < 60; ++step) {
@@ -312,8 +310,7 @@ TEST_F(IncrementalTest, PoolPreservesEditStats) {
   ThreadPool pool(4);
   IncrementalMatcher serial(*ctx_, ds_.candidates);
   IncrementalMatcher parallel(*ctx_, ds_.candidates,
-                              IncrementalMatcher::Options{
-                                  .pool = &pool, .min_parallel_pairs = 0});
+                              IncrementalMatcher::Options{.pool = &pool});
   const MatchingFunction fn = gen_->Generate();
   serial.FullRun(fn);
   parallel.FullRun(fn);
@@ -340,11 +337,11 @@ TEST_F(IncrementalTest, PoolPreservesEditStats) {
   EXPECT_EQ(serial.matches(), parallel.matches());
 }
 
-// Same property with check-cache-first disabled.
+// An add-rule / set-threshold edit mix on another seed. Edits always
+// evaluate a rule's predicates in the order written (the check-cache-first
+// reordering is gone); every edit must still match the oracle.
 TEST_F(IncrementalTest, RandomEditsConsistentWithoutCheckCacheFirst) {
-  IncrementalMatcher inc(*ctx_, ds_.candidates,
-                         IncrementalMatcher::Options{
-                             .check_cache_first = false});
+  IncrementalMatcher inc(*ctx_, ds_.candidates);
   inc.FullRun(gen_->Generate());
   Rng rng(9);
   for (int step = 0; step < 30; ++step) {

@@ -218,29 +218,6 @@ TEST_F(ParallelMatcherTest, RejectsHashMemoWhenMultithreaded) {
   EXPECT_EQ(ok.matches, serial.Run(fn, ds_.candidates, *ctx_).matches);
 }
 
-TEST_F(ParallelMatcherTest, ShardedMemoAgreesWithSerialAndReusesValues) {
-  const MatchingFunction fn = Rules(8, 37);
-  MemoMatcher serial;
-  const Bitmap expected = serial.Run(fn, ds_.candidates, *ctx_).matches;
-
-  ShardedMemo memo;
-  ThreadPool pool(4);
-  ParallelMemoMatcher parallel(ParallelMemoMatcher::Options{.pool = &pool});
-  const MatchResult first =
-      parallel.RunWithMemo(fn, ds_.candidates, *ctx_, memo);
-  ASSERT_FALSE(first.partial) << first.status.ToString();
-  EXPECT_EQ(first.matches, expected);
-  EXPECT_GT(memo.FilledCount(), 0u);
-
-  // Second run over the warm sharded memo: every needed value is already
-  // stored, so no feature is recomputed and the matches are unchanged.
-  const MatchResult second =
-      parallel.RunWithMemo(fn, ds_.candidates, *ctx_, memo);
-  EXPECT_EQ(second.matches, expected);
-  EXPECT_EQ(second.stats.feature_computations, 0u);
-  EXPECT_GT(second.stats.memo_hits, 0u);
-}
-
 TEST_F(ParallelMatcherTest, CancelledRunReportsExactEvaluatedBitmap) {
   // Mid-run cancellation under dynamic chunking: the partial result's
   // `evaluated` bitmap must name exactly the pairs whose evaluation

@@ -8,8 +8,12 @@
 /// failures must yield clean partial results whose evaluated bits are
 /// still exact — never silently wrong matches.
 
+#include <stdlib.h>
+
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -448,6 +452,58 @@ TEST_F(ShardDriverTest, SpillAndRecoverRoundTripsShardState) {
           << "shard " << i << " local " << local;
     }
   }
+}
+
+// Two drivers spilling into one directory at the same time: each keeps
+// its shard files in a private subdirectory, so each reloads exactly its
+// own state — with shared file names, one driver's Rematch read the other
+// driver's CRC-valid state and produced wrong match bits.
+TEST_F(ShardDriverTest, ConcurrentDriversShareOneSpillDir) {
+  std::string pattern = ::testing::TempDir() + "shard_share_XXXXXX";
+  ASSERT_NE(::mkdtemp(pattern.data()), nullptr);
+  const std::string dir = pattern;
+
+  struct Job {
+    MatchingFunction fn;
+    MatchResult serial;
+    MatchResult run;
+    MatchResult rematch;
+  };
+  std::vector<Job> jobs(2);
+  jobs[0].fn = MakeFunction(19);
+  jobs[1].fn = MakeFunction(23);
+  for (Job& job : jobs) {
+    MatchState state;
+    job.serial = SerialBaseline(job.fn, &state);
+  }
+
+  std::vector<std::thread> threads;
+  for (Job& job : jobs) {
+    threads.emplace_back([&, dir] {
+      PairContext ctx(ds_->a, ds_->b, *catalog_);
+      ShardedMatchDriver::Options o = DriverOptions(128);
+      o.spill_dir = dir;
+      ShardedMatchDriver driver(o);
+      job.run = driver.Run(job.fn, pairs_, ctx);
+      // Every shard reloads its spilled state from the shared directory.
+      job.rematch = driver.Rematch(job.fn, pairs_, ctx,
+                                   Bitmap(pairs_.size(), true));
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  for (const Job& job : jobs) {
+    ASSERT_FALSE(job.run.partial) << job.run.status.ToString();
+    ASSERT_FALSE(job.rematch.partial) << job.rematch.status.ToString();
+    EXPECT_EQ(job.run.matches, job.serial.matches);
+    EXPECT_EQ(job.rematch.matches, job.serial.matches);
+    ExpectSameCounters(job.run.stats, job.serial.stats);
+  }
+  EXPECT_NE(jobs[0].serial.matches, jobs[1].serial.matches)
+      << "the two functions must differ for the check to bite";
+  // Each driver removed its subdirectory when it was destroyed.
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

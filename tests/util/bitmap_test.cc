@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
 
 #include "src/util/random.h"
 
@@ -303,6 +305,38 @@ TEST(BitmapTest, ExtractSpanRoundTrips) {
       EXPECT_EQ(back.Get(64 + i), bm.Get(64 + i));
     }
   }
+}
+
+// Regression: OrSpan used to finish with a read-modify-write of the
+// bitmap's last word, so a worker ORing its span into the front of a
+// bitmap could write back a stale last word and erase the bits another
+// worker had just ORed into the final, partial word — the block engine's
+// 2-worker reruns dropped matches this way. Spans on disjoint words must
+// not touch each other's words at all.
+TEST(BitmapTest, ConcurrentOrSpansOnDisjointWordsKeepEveryBit) {
+  constexpr size_t kTail = 40;  // the final word is partial
+  Bitmap bm(64 + kTail);
+  std::atomic<bool> started{false};
+  std::atomic<bool> done{false};
+  std::thread front([&] {
+    const uint64_t span = 0;
+    started.store(true);
+    while (!done.load(std::memory_order_relaxed)) bm.OrSpan(0, &span, 64);
+  });
+  while (!started.load()) std::this_thread::yield();
+  const uint64_t ones = ~uint64_t{0};
+  const uint64_t want = bitspan::TailMask(kTail);
+  int lost = 0;
+  for (int round = 0; round < 200000; ++round) {
+    bm.OrSpan(64, &ones, kTail);
+    uint64_t got = 0;
+    bm.ExtractSpan(64, &got, kTail);  // reads the final word only
+    if (got != want) ++lost;
+    bm.AndNotSpan(64, &ones, kTail);
+  }
+  done.store(true, std::memory_order_relaxed);
+  front.join();
+  EXPECT_EQ(lost, 0) << "rounds whose final-word bits were erased";
 }
 
 }  // namespace
