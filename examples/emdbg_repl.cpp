@@ -16,6 +16,9 @@
 ///   explain <a#> <b#>         full decision trace for a pair
 ///   why <a#> <b#>             near-miss analysis for an unmatched pair
 ///   save <path> / load <path> persist or restore the rule set
+///   suspend <dir> / resume <dir>
+///                             snapshot the whole session (rules + memo +
+///                             bitmaps) as a checkpoint, or restore one
 ///   mem                       memory report
 ///   quit
 ///
@@ -65,7 +68,8 @@ void PrintHelp() {
       " run [deadline_ms] | score | explain <a> <b> | why <a> <b> |"
       " advise <rule> <pred#> | lint | profile <fn> <attr> | undo |"
       " history | report | durable <dir> | checkpoint | recover <dir> |"
-      " save <p> | load <p> | mem | help | quit\n");
+      " save <p> | load <p> | suspend <dir> | resume <dir> | mem | help |"
+      " quit\n");
 }
 
 }  // namespace
@@ -350,16 +354,16 @@ int main(int argc, char** argv) {
           SaveRulesFile(session.function(), session.catalog(), path);
       std::printf("%s\n", s.ok() ? "saved" : s.ToString().c_str());
     } else if (cmd == "suspend") {
-      std::string prefix;
-      in >> prefix;
-      const Status s = session.SaveSession(prefix);
+      std::string dir;
+      in >> dir;
+      const Status s = session.SaveSession(dir);
       std::printf("%s\n",
                   s.ok() ? "session suspended (rules + state)"
                          : s.ToString().c_str());
     } else if (cmd == "resume") {
-      std::string prefix;
-      in >> prefix;
-      const Status s = session.ResumeSession(prefix);
+      std::string dir;
+      in >> dir;
+      const Status s = session.ResumeSession(dir);
       std::printf("%s\n", s.ok() ? "session resumed — no recomputation"
                                  : s.ToString().c_str());
     } else if (cmd == "load") {

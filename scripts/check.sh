@@ -8,8 +8,9 @@
 #                                    #   incremental / session tests (the
 #                                    #   concurrent paths; EMDBG_TSAN_ALL=1
 #                                    #   runs the whole suite)
-#   scripts/check.sh ubsan           # UBSan build + the arithmetic-heavy
-#                                    #   and budget/governor tests
+#   scripts/check.sh ubsan           # UBSan build + the arithmetic-heavy,
+#                                    #   budget/governor and checkpoint/
+#                                    #   journal-parsing tests
 #                                    #   (EMDBG_UBSAN_ALL=1 = whole suite)
 #   scripts/check.sh all             # release, asan, tsan, then ubsan
 #
@@ -39,10 +40,12 @@ tsan_filter+='|Server|Soak|Wire|SessionDigest|Fault'
 # UBSan focuses on the arithmetic-heavy kernels (similarity, CRC,
 # bit-parallel Levenshtein, TF-IDF weights) and the resource-governor
 # accounting, whose size_t charge/rollback/saturation paths are exactly
-# where unsigned wraparound bugs would live.
+# where unsigned wraparound bugs would live, and the parsers of on-disk
+# checkpoints and journals (size and index arithmetic on file input).
 ubsan_filter='Similarity|Levenshtein|Jaro|Cosine|Tfidf|SoftTfidf|Crc32c'
 ubsan_filter+='|Numeric|MongeElkan|Alignment|Interner|IdKernels'
 ubsan_filter+='|MemoryBudget|BudgetFault|Governor|Memo|Bitmap'
+ubsan_filter+='|StateIo|DurableSession|JournalFault|RulesIo'
 
 run_mode() {
   local mode="$1" dir

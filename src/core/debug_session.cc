@@ -78,6 +78,7 @@ Status LoadCheckpointFeatures(const std::string& path,
                               FeatureCatalog& catalog) {
   Result<std::string> text = ReadFileToString(path);
   if (!text.ok()) return text.status();
+  FeatureId next_id = 0;
   std::string_view rest(*text);
   while (!rest.empty()) {
     const size_t nl = rest.find('\n');
@@ -104,6 +105,17 @@ Status LoadCheckpointFeatures(const std::string& path,
         *fn, TrimAscii(line.substr(lparen + 1, comma - lparen - 1)),
         TrimAscii(line.substr(comma + 1, rparen - comma - 1)));
     if (!id.ok()) return id.status();
+    // A session that interned features before loading (e.g. it added a
+    // rule) would otherwise read every saved memo column shifted.
+    if (*id != next_id) {
+      return Status::FailedPrecondition(StrFormat(
+          "feature '%.*s' is id %u in this session but %u in %s; load "
+          "checkpoints into a session that has interned no features",
+          static_cast<int>(line.size()), line.data(),
+          static_cast<unsigned>(*id), static_cast<unsigned>(next_id),
+          path.c_str()));
+    }
+    ++next_id;
   }
   return Status::Ok();
 }
@@ -153,15 +165,21 @@ Result<MatchingFunction> LoadCheckpointRules(const std::string& path,
   return fn;
 }
 
+/// Splits the leading token off `rest`; tokens are separated by runs of
+/// spaces.
+std::string_view TakeToken(std::string_view& rest) {
+  rest = TrimAscii(rest);
+  const size_t sp = rest.find(' ');
+  const std::string_view tok = rest.substr(0, sp);
+  rest = sp == std::string_view::npos ? std::string_view()
+                                      : TrimAscii(rest.substr(sp + 1));
+  return tok;
+}
+
 /// Consumes a leading non-negative integer token from `rest`.
 bool TakeIndex(std::string_view& rest, size_t* out) {
-  const size_t sp = rest.find(' ');
-  const std::string_view tok =
-      sp == std::string_view::npos ? rest : rest.substr(0, sp);
-  rest = sp == std::string_view::npos ? std::string_view()
-                                      : rest.substr(sp + 1);
   int64_t v = 0;
-  if (!ParseInt64(tok, &v) || v < 0) return false;
+  if (!ParseInt64(TakeToken(rest), &v) || v < 0) return false;
   *out = static_cast<size_t>(v);
   return true;
 }
@@ -248,13 +266,17 @@ Result<RuleId> DebugSession::AddRuleText(std::string_view dsl) {
   return AddRule(std::move(*rule));
 }
 
+Status DebugSession::Account(const Result<MatchStats>& stats) {
+  if (!stats.ok()) return stats.status();
+  last_stats_ = *stats;
+  total_stats_ += *stats;
+  return Status::Ok();
+}
+
 Result<RuleId> DebugSession::AddRule(Rule rule) {
   PrepareRule(rule);
   if (started_ && options_.incremental) {
-    Result<MatchStats> stats = log_.AddRule(*inc_, rule);
-    if (!stats.ok()) return stats.status();
-    last_stats_ = *stats;
-    total_stats_ += *stats;
+    EMDBG_RETURN_IF_ERROR(Account(log_.AddRule(*inc_, rule)));
     return inc_->last_added_rule_id();
   }
   batch_dirty_ = true;
@@ -263,11 +285,7 @@ Result<RuleId> DebugSession::AddRule(Rule rule) {
 
 Status DebugSession::RemoveRule(RuleId rid) {
   if (started_ && options_.incremental) {
-    Result<MatchStats> stats = log_.RemoveRule(*inc_, rid);
-    if (!stats.ok()) return stats.status();
-    last_stats_ = *stats;
-    total_stats_ += *stats;
-    return Status::Ok();
+    return Account(log_.RemoveRule(*inc_, rid));
   }
   batch_dirty_ = true;
   return fn_.RemoveRule(rid);
@@ -276,10 +294,7 @@ Status DebugSession::RemoveRule(RuleId rid) {
 Result<PredicateId> DebugSession::AddPredicate(RuleId rid, Predicate p) {
   if (model_ != nullptr) model_->EnsureFeature(p.feature, *ctx_);
   if (started_ && options_.incremental) {
-    Result<MatchStats> stats = log_.AddPredicate(*inc_, rid, p);
-    if (!stats.ok()) return stats.status();
-    last_stats_ = *stats;
-    total_stats_ += *stats;
+    EMDBG_RETURN_IF_ERROR(Account(log_.AddPredicate(*inc_, rid, p)));
     return inc_->last_added_predicate_id();
   }
   batch_dirty_ = true;
@@ -288,11 +303,7 @@ Result<PredicateId> DebugSession::AddPredicate(RuleId rid, Predicate p) {
 
 Status DebugSession::RemovePredicate(RuleId rid, PredicateId pid) {
   if (started_ && options_.incremental) {
-    Result<MatchStats> stats = log_.RemovePredicate(*inc_, rid, pid);
-    if (!stats.ok()) return stats.status();
-    last_stats_ = *stats;
-    total_stats_ += *stats;
-    return Status::Ok();
+    return Account(log_.RemovePredicate(*inc_, rid, pid));
   }
   batch_dirty_ = true;
   return fn_.RemovePredicate(rid, pid);
@@ -301,15 +312,76 @@ Status DebugSession::RemovePredicate(RuleId rid, PredicateId pid) {
 Status DebugSession::SetThreshold(RuleId rid, PredicateId pid,
                                   double threshold) {
   if (started_ && options_.incremental) {
-    Result<MatchStats> stats =
-        log_.SetThreshold(*inc_, rid, pid, threshold);
-    if (!stats.ok()) return stats.status();
-    last_stats_ = *stats;
-    total_stats_ += *stats;
-    return Status::Ok();
+    return Account(log_.SetThreshold(*inc_, rid, pid, threshold));
   }
   batch_dirty_ = true;
   return fn_.SetThreshold(rid, pid, threshold);
+}
+
+Result<RuleId> DebugSession::ApplyEdit(std::string_view line) {
+  std::string_view rest = line;
+  const std::string_view verb = TakeToken(rest);
+  const std::vector<Rule>& rules = function().rules();
+
+  if (verb == "add_rule") {
+    if (rest.empty()) {
+      return Status::ParseError("add_rule takes a rule in DSL");
+    }
+    Result<Rule> rule = ParseRule(rest, catalog_);
+    if (!rule.ok()) return rule.status();
+    return AddRule(std::move(*rule));
+  }
+  if (verb == "add_rule_empty") return AddRule(Rule(std::string(rest)));
+  if (verb == "remove_rule") {
+    size_t pos = 0;
+    if (!TakeIndex(rest, &pos)) {
+      return Status::ParseError("remove_rule takes a rule index");
+    }
+    if (pos >= rules.size()) {
+      return Status::NotFound("rule index out of range");
+    }
+    const RuleId rid = rules[pos].id();
+    EMDBG_RETURN_IF_ERROR(RemoveRule(rid));
+    return rid;
+  }
+  if (verb == "add_pred") {
+    size_t pos = 0;
+    if (!TakeIndex(rest, &pos)) {
+      return Status::ParseError("add_pred takes a rule index and a predicate");
+    }
+    if (pos >= rules.size()) {
+      return Status::NotFound("rule index out of range");
+    }
+    const RuleId rid = rules[pos].id();
+    // A single predicate parses as a one-predicate anonymous rule.
+    Result<Rule> parsed = ParseRule(rest, catalog_);
+    if (!parsed.ok()) return parsed.status();
+    if (parsed->size() != 1) {
+      return Status::ParseError("expected exactly one predicate");
+    }
+    EMDBG_RETURN_IF_ERROR(AddPredicate(rid, parsed->predicate(0)).status());
+    return rid;
+  }
+  const bool remove = verb == "remove_pred";
+  if (remove || verb == "set_threshold") {
+    size_t rpos = 0, ppos = 0;
+    double threshold = 0.0;
+    if (!TakeIndex(rest, &rpos) || !TakeIndex(rest, &ppos) ||
+        (!remove && !ParseDouble(TrimAscii(rest), &threshold))) {
+      return Status::ParseError(
+          remove ? "remove_pred takes rule and predicate indices"
+                 : "set_threshold takes rule index, predicate index, value");
+    }
+    if (rpos >= rules.size() || ppos >= rules[rpos].size()) {
+      return Status::NotFound("index out of range");
+    }
+    const RuleId rid = rules[rpos].id();
+    const PredicateId pid = rules[rpos].predicate(ppos).id;
+    EMDBG_RETURN_IF_ERROR(remove ? RemovePredicate(rid, pid)
+                                 : SetThreshold(rid, pid, threshold));
+    return rid;
+  }
+  return Status::ParseError("unknown edit verb: " + std::string(verb));
 }
 
 Status DebugSession::Undo() {
@@ -317,11 +389,7 @@ Status DebugSession::Undo() {
     return Status::FailedPrecondition(
         "undo requires a running incremental session");
   }
-  Result<MatchStats> stats = log_.Undo(*inc_);
-  if (!stats.ok()) return stats.status();
-  last_stats_ = *stats;
-  total_stats_ += *stats;
-  return Status::Ok();
+  return Account(log_.Undo(*inc_));
 }
 
 std::string DebugSession::History() const { return log_.Describe(catalog_); }
@@ -390,17 +458,12 @@ QualityMetrics DebugSession::Score(const PairLabels& labels) {
 }
 
 std::string DebugSession::MemoryReport() const {
-  const MatchState& state =
-      started_ && options_.incremental ? inc_->state() : batch_state_;
-  return state.MemoryReport();
+  return state().MemoryReport();
 }
 
 DebugSession::MemoryFootprint DebugSession::Footprint() const {
   MemoryFootprint fp;
-  const MatchState& state =
-      started_ && options_.incremental && inc_ != nullptr ? inc_->state()
-                                                          : batch_state_;
-  fp.memo_bytes = state.MemoryBytes();
+  fp.memo_bytes = state().MemoryBytes();
   fp.token_cache_bytes = ctx_->TokenCacheBytes();
   fp.id_cache_bytes = ctx_->IdCacheBytes();
   if (const TokenInterner* interner = ctx_->interner()) {
@@ -418,17 +481,28 @@ std::vector<NearMiss> DebugSession::WhyNot(PairId pair, size_t top_k) {
   return FindNearMisses(function(), pair, *ctx_, top_k);
 }
 
-Status DebugSession::SaveSession(const std::string& prefix) const {
+Status DebugSession::SaveSession(const std::string& dir) const {
   if (!started_ || !options_.incremental) {
     return Status::FailedPrecondition(
         "saving requires a completed run in incremental mode");
   }
-  EMDBG_RETURN_IF_ERROR(
-      SaveRulesFile(inc_->function(), catalog_, prefix + ".rules"));
-  return SaveMatchState(inc_->state(), prefix + ".state");
+  std::error_code ec;
+  if (durable() && std::filesystem::equivalent(dir, durability_dir_, ec)) {
+    // A new epoch here would orphan the live journal; checkpoint instead.
+    return Status::FailedPrecondition(
+        "that is the session's durability directory; use Checkpoint()");
+  }
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
+    return Status::IoError(StrFormat("cannot create %s: %s", dir.c_str(),
+                                     ec.message().c_str()));
+  }
+  // Saving over an earlier snapshot continues its epoch sequence.
+  Result<uint64_t> epoch = ReadMeta(dir);
+  return WriteSnapshot(dir, epoch.ok() ? *epoch : 0).status();
 }
 
-Status DebugSession::ResumeSession(const std::string& prefix) {
+Status DebugSession::ResumeSession(const std::string& dir) {
   if (started_) {
     return Status::FailedPrecondition(
         "resume must happen before the first run");
@@ -436,31 +510,37 @@ Status DebugSession::ResumeSession(const std::string& prefix) {
   if (!options_.incremental) {
     return Status::FailedPrecondition("resume requires incremental mode");
   }
+  Result<uint64_t> epoch = ReadMeta(dir);
+  if (!epoch.ok()) return epoch.status();
+
+  // Re-intern the catalog's features in saved id order, so the feature
+  // ids baked into the memo columns stay valid.
+  EMDBG_RETURN_IF_ERROR(
+      LoadCheckpointFeatures(FeaturesPath(dir, *epoch), catalog_));
   Result<MatchingFunction> rules =
-      LoadRulesFile(prefix + ".rules", catalog_);
+      LoadCheckpointRules(RulesPath(dir, *epoch), catalog_);
   if (!rules.ok()) return rules.status();
-  Result<MatchState> state = LoadMatchState(prefix + ".state");
+  Result<MatchState> state = LoadMatchState(StatePath(dir, *epoch));
   if (!state.ok()) return state.status();
+
   inc_ = std::make_unique<IncrementalMatcher>(*ctx_, *pairs_, IncOptions());
   EMDBG_RETURN_IF_ERROR(inc_->Resume(*rules, std::move(*state)));
   fn_ = *rules;
   started_ = true;
+  epoch_ = *epoch;
   return Status::Ok();
 }
 
 std::string DebugSession::RuleActivityReport() const {
   if (!started_) return "(no run yet)\n";
-  const MatchState& state =
-      options_.incremental ? inc_->state() : batch_state_;
-  const MatchingFunction& fn = function();
   std::string out;
-  for (const Rule& rule : fn.rules()) {
-    const Bitmap* fired = state.FindRuleTrue(rule.id());
+  for (const Rule& rule : function().rules()) {
+    const Bitmap* fired = state().FindRuleTrue(rule.id());
     out += StrFormat("%-10s matches %6zu pairs | rejects:",
                      rule.name().c_str(),
                      fired == nullptr ? 0 : fired->Count());
     for (const Predicate& p : rule.predicates()) {
-      const Bitmap* rejected = state.FindPredFalse(p.id);
+      const Bitmap* rejected = state().FindPredFalse(p.id);
       out += StrFormat(" %s=%zu", catalog_.Name(p.feature).c_str(),
                        rejected == nullptr ? 0 : rejected->Count());
     }
@@ -533,16 +613,15 @@ Status DebugSession::Checkpoint() {
   return WriteCheckpoint();
 }
 
-Status DebugSession::WriteCheckpoint() {
-  const uint64_t next_epoch = epoch_ + 1;
+Result<uint64_t> DebugSession::WriteSnapshot(const std::string& dir,
+                                             uint64_t epoch) const {
+  const uint64_t next_epoch = epoch + 1;
   const MatchingFunction& fn = inc_->function();
-  EMDBG_RETURN_IF_ERROR(
-      WriteFileAtomic(FeaturesPath(durability_dir_, next_epoch),
-                      CheckpointFeaturesText(catalog_)));
-  EMDBG_RETURN_IF_ERROR(
-      WriteFileAtomic(RulesPath(durability_dir_, next_epoch),
-                      CheckpointRulesText(fn, catalog_)));
-  // Recovery re-parses the rules file, which assigns dense ids in file
+  EMDBG_RETURN_IF_ERROR(WriteFileAtomic(FeaturesPath(dir, next_epoch),
+                                        CheckpointFeaturesText(catalog_)));
+  EMDBG_RETURN_IF_ERROR(WriteFileAtomic(RulesPath(dir, next_epoch),
+                                        CheckpointRulesText(fn, catalog_)));
+  // Loading re-parses the rules file, which assigns dense ids in file
   // order; save the bitmaps under those ids so the two files line up.
   std::unordered_map<RuleId, RuleId> rule_ids;
   std::unordered_map<PredicateId, PredicateId> predicate_ids;
@@ -555,28 +634,32 @@ Status DebugSession::WriteCheckpoint() {
     }
   }
   EMDBG_RETURN_IF_ERROR(SaveMatchStateRemapped(
-      inc_->state(), rule_ids, predicate_ids,
-      StatePath(durability_dir_, next_epoch)));
+      inc_->state(), rule_ids, predicate_ids, StatePath(dir, next_epoch)));
   // Commit point: repoint the meta file at the fully-written epoch.
   EMDBG_RETURN_IF_ERROR(WriteFileAtomic(
-      MetaPath(durability_dir_),
-      StrFormat("EMDBGCK1 %llu\n",
-                static_cast<unsigned long long>(next_epoch))));
+      MetaPath(dir), StrFormat("EMDBGCK1 %llu\n",
+                               static_cast<unsigned long long>(next_epoch))));
+  if (epoch != 0) {
+    std::error_code ec;
+    std::filesystem::remove(FeaturesPath(dir, epoch), ec);
+    std::filesystem::remove(RulesPath(dir, epoch), ec);
+    std::filesystem::remove(StatePath(dir, epoch), ec);
+  }
+  return next_epoch;
+}
+
+Status DebugSession::WriteCheckpoint() {
+  Result<uint64_t> epoch = WriteSnapshot(durability_dir_, epoch_);
+  if (!epoch.ok()) return epoch.status();
+  epoch_ = *epoch;
   // Fresh journal for the new epoch. If a crash lands between the meta
   // write and this, recovery sees an epoch-mismatched (stale) journal and
   // correctly ignores it — its edits are inside the checkpoint.
   journal_.reset();
   Result<std::unique_ptr<EditJournal>> journal =
-      EditJournal::Create(JournalPath(durability_dir_), next_epoch);
+      EditJournal::Create(JournalPath(durability_dir_), epoch_);
   if (!journal.ok()) return journal.status();
   journal_ = std::move(*journal);
-  if (epoch_ != 0) {
-    std::error_code ec;
-    std::filesystem::remove(FeaturesPath(durability_dir_, epoch_), ec);
-    std::filesystem::remove(RulesPath(durability_dir_, epoch_), ec);
-    std::filesystem::remove(StatePath(durability_dir_, epoch_), ec);
-  }
-  epoch_ = next_epoch;
   edits_since_checkpoint_ = 0;
   return Status::Ok();
 }
@@ -591,104 +674,9 @@ void DebugSession::AttachJournalSink() {
   });
 }
 
-Status DebugSession::ApplyJournalRecord(std::string_view payload) {
-  const size_t sp = payload.find(' ');
-  const std::string_view verb =
-      sp == std::string_view::npos ? payload : payload.substr(0, sp);
-  std::string_view rest = sp == std::string_view::npos
-                              ? std::string_view()
-                              : payload.substr(sp + 1);
-  auto bad = [&payload](const char* why) {
-    return Status::ParseError(
-        StrFormat("bad journal record '%.*s': %s",
-                  static_cast<int>(payload.size()), payload.data(), why));
-  };
-
-  if (verb == "add_rule") {
-    Result<Rule> rule = ParseRule(rest, catalog_);
-    if (!rule.ok()) return rule.status();
-    return AddRule(std::move(*rule)).status();
-  }
-  if (verb == "add_rule_empty") {
-    return AddRule(Rule(std::string(TrimAscii(rest)))).status();
-  }
-  if (verb == "remove_rule") {
-    size_t pos = 0;
-    if (!TakeIndex(rest, &pos)) return bad("expected rule index");
-    const std::vector<Rule>& rules = function().rules();
-    if (pos >= rules.size()) return bad("rule index out of range");
-    return RemoveRule(rules[pos].id());
-  }
-  if (verb == "add_pred") {
-    size_t pos = 0;
-    if (!TakeIndex(rest, &pos)) return bad("expected rule index");
-    const std::vector<Rule>& rules = function().rules();
-    if (pos >= rules.size()) return bad("rule index out of range");
-    const RuleId rid = rules[pos].id();
-    // A single predicate parses as a one-predicate anonymous rule.
-    Result<Rule> parsed = ParseRule(rest, catalog_);
-    if (!parsed.ok()) return parsed.status();
-    if (parsed->size() != 1) return bad("expected one predicate");
-    return AddPredicate(rid, parsed->predicate(0)).status();
-  }
-  if (verb == "remove_pred") {
-    size_t rpos = 0, ppos = 0;
-    if (!TakeIndex(rest, &rpos) || !TakeIndex(rest, &ppos)) {
-      return bad("expected rule and predicate indices");
-    }
-    const std::vector<Rule>& rules = function().rules();
-    if (rpos >= rules.size()) return bad("rule index out of range");
-    if (ppos >= rules[rpos].size()) {
-      return bad("predicate index out of range");
-    }
-    return RemovePredicate(rules[rpos].id(), rules[rpos].predicate(ppos).id);
-  }
-  if (verb == "set_threshold") {
-    size_t rpos = 0, ppos = 0;
-    if (!TakeIndex(rest, &rpos) || !TakeIndex(rest, &ppos)) {
-      return bad("expected rule and predicate indices");
-    }
-    double threshold = 0.0;
-    if (!ParseDouble(TrimAscii(rest), &threshold)) {
-      return bad("expected threshold");
-    }
-    const std::vector<Rule>& rules = function().rules();
-    if (rpos >= rules.size()) return bad("rule index out of range");
-    if (ppos >= rules[rpos].size()) {
-      return bad("predicate index out of range");
-    }
-    return SetThreshold(rules[rpos].id(), rules[rpos].predicate(ppos).id,
-                        threshold);
-  }
-  return bad("unknown verb");
-}
-
 Status DebugSession::Recover(const std::string& dir,
                              size_t checkpoint_every) {
-  if (started_) {
-    return Status::FailedPrecondition(
-        "recover must happen before the first run");
-  }
-  if (!options_.incremental) {
-    return Status::FailedPrecondition("recovery requires incremental mode");
-  }
-  Result<uint64_t> epoch = ReadMeta(dir);
-  if (!epoch.ok()) return epoch.status();
-
-  // Re-intern the catalog's features in saved id order, so the feature
-  // ids baked into the memo columns stay valid.
-  EMDBG_RETURN_IF_ERROR(
-      LoadCheckpointFeatures(FeaturesPath(dir, *epoch), catalog_));
-  Result<MatchingFunction> rules =
-      LoadCheckpointRules(RulesPath(dir, *epoch), catalog_);
-  if (!rules.ok()) return rules.status();
-  Result<MatchState> state = LoadMatchState(StatePath(dir, *epoch));
-  if (!state.ok()) return state.status();
-
-  inc_ = std::make_unique<IncrementalMatcher>(*ctx_, *pairs_, IncOptions());
-  EMDBG_RETURN_IF_ERROR(inc_->Resume(*rules, std::move(*state)));
-  fn_ = *rules;
-  started_ = true;
+  EMDBG_RETURN_IF_ERROR(ResumeSession(dir));
 
   // Replay edits committed after the checkpoint. A missing journal means
   // nothing to replay; a journal from an older epoch was superseded by
@@ -699,9 +687,16 @@ Status DebugSession::Recover(const std::string& dir,
   Result<EditJournal::Contents> journal =
       EditJournal::Read(JournalPath(dir));
   if (journal.ok()) {
-    if (journal->epoch == *epoch) {
+    if (journal->epoch == epoch_) {
       for (const std::string& record : journal->records) {
-        EMDBG_RETURN_IF_ERROR(ApplyJournalRecord(record));
+        const Status s = ApplyEdit(record).status();
+        if (s.ok()) continue;
+        // A budget denial leaves the disk state intact and is retryable;
+        // a record that does not apply means the journal is corrupt.
+        if (s.code() == StatusCode::kResourceExhausted) return s;
+        return Status::ParseError(StrFormat(
+            "bad journal record '%s': %s", record.c_str(),
+            s.message().c_str()));
       }
     }
   } else if (journal.status().code() != StatusCode::kIoError) {
@@ -710,7 +705,6 @@ Status DebugSession::Recover(const std::string& dir,
 
   // Re-enable durability here: fold the replayed edits into a fresh
   // checkpoint and start a clean journal.
-  epoch_ = *epoch;
   durability_dir_ = dir;
   checkpoint_every_ = checkpoint_every;
   Status s = WriteCheckpoint();

@@ -129,6 +129,17 @@ class DebugSession {
   Status RemovePredicate(RuleId rid, PredicateId pid);
   Status SetThreshold(RuleId rid, PredicateId pid, double threshold);
 
+  /// Parses and applies one positional edit line — the grammar of journal
+  /// records and of the serve layer's edit verbs:
+  ///   add_rule <dsl> | add_rule_empty [name] | remove_rule <r>
+  ///   add_pred <r> <predicate> | remove_pred <r> <p>
+  ///   set_threshold <r> <p> <t>
+  /// `r` is a position in function().rules() and `p` a position in that
+  /// rule's predicates. Returns the id of the rule the edit touched (the
+  /// new rule for add_rule). ParseError for a malformed line, NotFound for
+  /// an out-of-range position; otherwise the edit's own status.
+  Result<RuleId> ApplyEdit(std::string_view line);
+
   /// Reverts the most recent post-run edit (incremental mode only;
   /// edits before the first Run() and batch-mode edits are not journaled).
   Status Undo();
@@ -143,7 +154,7 @@ class DebugSession {
   const Bitmap& Run();
 
   /// Controlled variant: honours `control`'s cancellation token and
-  /// deadline (checked once per candidate pair). When the run is stopped
+  /// deadline (checked once per engine block). When the run is stopped
   /// early the returned result is partial — `result.partial` is true,
   /// `result.status` says why (kCancelled / kDeadlineExceeded), and only
   /// the bits flagged in `result.evaluated` are meaningful. A partial
@@ -205,16 +216,20 @@ class DebugSession {
   /// have drifted away from the original ordering.
   MatchStats Reoptimize();
 
-  /// Suspends the session to disk: `<prefix>.rules` (DSL) and
-  /// `<prefix>.state` (binary memo + bitmaps). Requires a completed run
-  /// in incremental mode.
-  Status SaveSession(const std::string& prefix) const;
+  /// Suspends the session into directory `dir` (created if missing) as a
+  /// checkpoint — the same crash-safe snapshot durability writes (see
+  /// Checkpoint()), without a journal. Saving over an earlier snapshot
+  /// starts a new epoch and removes the old one's files. Requires a
+  /// completed run in incremental mode.
+  Status SaveSession(const std::string& dir) const;
 
-  /// Restores a suspended session into this (not-yet-run) session. The
-  /// tables and candidate pairs must be the same ones the saved session
-  /// used (e.g. regenerated from the same profile seed or reloaded from
-  /// CSV). No similarity values are recomputed.
-  Status ResumeSession(const std::string& prefix);
+  /// Restores a snapshot written by SaveSession or Checkpoint into this
+  /// session, which must not have run. The tables and candidate pairs must
+  /// be the same ones the saved session used (e.g. regenerated from the
+  /// same profile seed or reloaded from CSV). No similarity values are
+  /// recomputed. FailedPrecondition if this session already interned
+  /// features at other ids than the snapshot's.
+  Status ResumeSession(const std::string& dir);
 
   // ---- Crash-safe durability. Once enabled, every committed edit is
   // appended to an fsync'd journal before the edit call returns, and the
@@ -232,18 +247,19 @@ class DebugSession {
                           size_t checkpoint_every = 25);
 
   /// Forces a checkpoint now (normally automatic). Writes
-  /// checkpoint.<epoch>.rules / .state, atomically repoints
+  /// checkpoint.<epoch>.features / .rules / .state, atomically repoints
   /// checkpoint.meta at the new epoch, starts a fresh journal, and
   /// removes the previous epoch's files. A crash at any point leaves
   /// either the old or the new checkpoint fully intact.
   Status Checkpoint();
 
   /// Restores a crashed durable session into this (not-yet-run) session:
-  /// loads the checkpoint named by `dir`/checkpoint.meta, replays the
-  /// journal, re-enables durability in `dir`, and writes a fresh
-  /// checkpoint. The tables/candidates must match the crashed session's.
-  /// ParseError on corrupt files (a torn final journal record — a crash
-  /// mid-append — is tolerated and dropped; that edit never committed).
+  /// ResumeSession(dir), then replays the journal through ApplyEdit,
+  /// re-enables durability in `dir`, and writes a fresh checkpoint. The
+  /// tables/candidates must match the crashed session's. ParseError on
+  /// corrupt files or a journal record that does not apply (a torn final
+  /// record — a crash mid-append — is tolerated and dropped; that edit
+  /// never committed).
   Status Recover(const std::string& dir, size_t checkpoint_every = 25);
 
   bool durable() const { return journal_ != nullptr; }
@@ -263,6 +279,9 @@ class DebugSession {
   /// Options for constructing the incremental engine (the session's
   /// pool, budget and block size).
   IncrementalMatcher::Options IncOptions();
+
+  /// Records the work of one incremental edit in last/total stats.
+  Status Account(const Result<MatchStats>& stats);
 
   /// Non-incremental full run of `fn_` into batch_state_ on the block
   /// engine (on the session's pool when it has one; identical results
@@ -298,6 +317,12 @@ class DebugSession {
 
   // ---- Durability (see EnableDurability). ----
 
+  /// Writes snapshot epoch `epoch`+1 into `dir`, commits it through the
+  /// meta file, and removes epoch `epoch`'s files. Returns the new epoch.
+  /// Shared by SaveSession and WriteCheckpoint.
+  Result<uint64_t> WriteSnapshot(const std::string& dir,
+                                 uint64_t epoch) const;
+
   /// Writes checkpoint epoch_+1 and swaps the journal; shared by
   /// EnableDurability / Checkpoint / Recover.
   Status WriteCheckpoint();
@@ -306,11 +331,9 @@ class DebugSession {
   /// checkpoint.
   void AttachJournalSink();
 
-  /// Applies one journal payload during Recover (journaling is not yet
-  /// attached, so replay does not re-journal).
-  Status ApplyJournalRecord(std::string_view payload);
-
   std::string durability_dir_;
+  /// Epoch of the durability checkpoint last written, or of the snapshot
+  /// resumed (0 = none).
   uint64_t epoch_ = 0;
   size_t checkpoint_every_ = 0;
   size_t edits_since_checkpoint_ = 0;

@@ -9,11 +9,11 @@
 namespace emdbg {
 
 /// Binary persistence for materialized matching state — the memo of
-/// similarity values plus the per-rule/per-predicate bitmaps. With the
-/// rule set (SaveRulesFile) and the candidate set (SaveCandidatesCsv)
-/// this lets an analyst suspend a debugging session and resume it later
-/// without recomputing anything, extending the paper's Sec. 6
-/// materialization across process lifetimes.
+/// similarity values plus the per-rule/per-predicate bitmaps. Session
+/// checkpoints (DebugSession::SaveSession / EnableDurability) store it
+/// next to the rule set, so an analyst can suspend a debugging session
+/// and resume it later without recomputing anything, extending the
+/// paper's Sec. 6 materialization across process lifetimes.
 ///
 /// Current format, version 2 (crash-safe):
 ///   magic "EMDBGST2"
@@ -58,8 +58,9 @@ Status SaveMatchStateRemapped(
 /// arithmetic) *before* any allocation, so a corrupt or hostile header
 /// cannot trigger a huge allocation. The loaded state's stable
 /// rule/predicate ids must correspond to the matching function the caller
-/// restores alongside it (LoadRulesFile assigns ids in file order, so
-/// save/load of rules + state is consistent when done together).
+/// restores alongside it. Re-parsed rules get dense ids in file order, so
+/// a state saved next to a rule file must be saved through
+/// SaveMatchStateRemapped whenever the live ids are not already dense.
 Result<MatchState> LoadMatchState(const std::string& path);
 
 }  // namespace emdbg

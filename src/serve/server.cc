@@ -40,13 +40,6 @@ std::string_view TakeToken(std::string_view& rest) {
   return tok;
 }
 
-bool TakeIndex(std::string_view& rest, size_t* out) {
-  int64_t v = 0;
-  if (!ParseInt64(TakeToken(rest), &v) || v < 0) return false;
-  *out = static_cast<size_t>(v);
-  return true;
-}
-
 /// Session tokens become directory names under durability_root, so the
 /// grammar is deliberately restrictive.
 bool ValidToken(std::string_view token) {
@@ -1002,82 +995,26 @@ std::string Server::ExecuteSessionCommand(SessionEntry& entry, Request& req,
                      s.candidates().size());
   }
 
-  if (verb == "add_rule") {
-    if (TrimAscii(rest).empty()) {
-      return Err(StatusCode::kParseError, "add_rule takes a rule in DSL");
+  // Positional edits share one grammar with journal replay.
+  const bool is_add_rule = verb == "add_rule";
+  if (is_add_rule || verb == "remove_rule" || verb == "add_pred" ||
+      verb == "remove_pred" || verb == "set_threshold") {
+    Result<RuleId> rid = s.ApplyEdit(req.line);
+    if (!rid.ok()) return finish_edit(rid.status(), "");
+    if (!is_add_rule) {
+      return finish_edit(Status::Ok(), verb == "set_threshold" ? "set"
+                                       : verb == "add_pred"    ? "added"
+                                                               : "removed");
     }
-    Result<RuleId> r = s.AddRuleText(rest);
-    if (!r.ok()) return finish_edit(r.status(), "");
     const std::vector<Rule>& rules = s.function().rules();
     std::string what = "rule=?";
     for (size_t i = 0; i < rules.size(); ++i) {
-      if (rules[i].id() == *r) {
+      if (rules[i].id() == *rid) {
         what = StrFormat("rule=%s pos=%zu", rules[i].name().c_str(), i);
         break;
       }
     }
     return finish_edit(Status::Ok(), what);
-  }
-  if (verb == "remove_rule") {
-    size_t pos = 0;
-    if (!TakeIndex(rest, &pos)) {
-      return Err(StatusCode::kParseError, "remove_rule takes a rule index");
-    }
-    const std::vector<Rule>& rules = s.function().rules();
-    if (pos >= rules.size()) {
-      return Err(StatusCode::kNotFound, "rule index out of range");
-    }
-    return finish_edit(s.RemoveRule(rules[pos].id()), "removed");
-  }
-  if (verb == "add_pred") {
-    size_t pos = 0;
-    if (!TakeIndex(rest, &pos)) {
-      return Err(StatusCode::kParseError,
-                 "add_pred takes a rule index and a predicate");
-    }
-    const std::vector<Rule>& rules = s.function().rules();
-    if (pos >= rules.size()) {
-      return Err(StatusCode::kNotFound, "rule index out of range");
-    }
-    Result<Rule> parsed = ParseRule(rest, s.catalog());
-    if (!parsed.ok()) return Err(parsed.status());
-    if (parsed->size() != 1) {
-      return Err(StatusCode::kParseError, "expected exactly one predicate");
-    }
-    return finish_edit(
-        s.AddPredicate(rules[pos].id(), parsed->predicate(0)).status(),
-        "added");
-  }
-  if (verb == "remove_pred") {
-    size_t rpos = 0, ppos = 0;
-    if (!TakeIndex(rest, &rpos) || !TakeIndex(rest, &ppos)) {
-      return Err(StatusCode::kParseError,
-                 "remove_pred takes rule and predicate indices");
-    }
-    const std::vector<Rule>& rules = s.function().rules();
-    if (rpos >= rules.size() || ppos >= rules[rpos].size()) {
-      return Err(StatusCode::kNotFound, "index out of range");
-    }
-    return finish_edit(
-        s.RemovePredicate(rules[rpos].id(), rules[rpos].predicate(ppos).id),
-        "removed");
-  }
-  if (verb == "set_threshold") {
-    size_t rpos = 0, ppos = 0;
-    double threshold = 0;
-    if (!TakeIndex(rest, &rpos) || !TakeIndex(rest, &ppos) ||
-        !ParseDouble(TrimAscii(rest), &threshold)) {
-      return Err(StatusCode::kParseError,
-                 "set_threshold takes rule index, predicate index, value");
-    }
-    const std::vector<Rule>& rules = s.function().rules();
-    if (rpos >= rules.size() || ppos >= rules[rpos].size()) {
-      return Err(StatusCode::kNotFound, "index out of range");
-    }
-    return finish_edit(
-        s.SetThreshold(rules[rpos].id(), rules[rpos].predicate(ppos).id,
-                       threshold),
-        "set");
   }
   if (verb == "undo") {
     return finish_edit(s.Undo(), "undone");

@@ -60,6 +60,9 @@ namespace emdbg {
 ///   add_pred <rulepos> <dsl>      -> ok [matches=N]
 ///   remove_pred <rulepos> <predpos>
 ///   set_threshold <rulepos> <predpos> <t>
+///                                 (the five edit verbs are parsed by
+///                                  DebugSession::ApplyEdit, as journal
+///                                  records are)
 ///   undo
 ///   run [deadline_ms]             -> ok matches=N pairs=M
 ///                                    [partial=1 reason=<Code>]

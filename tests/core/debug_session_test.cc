@@ -1,5 +1,6 @@
 #include "src/core/debug_session.h"
 
+#include <filesystem>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -239,7 +240,8 @@ TEST_F(DebugSessionTest, ExplainAndWhyNotPassthroughs) {
 }
 
 TEST_F(DebugSessionTest, SuspendAndResumeSession) {
-  const std::string prefix = ::testing::TempDir() + "/emdbg_session_sr";
+  const std::string dir = ::testing::TempDir() + "/emdbg_session_sr";
+  std::filesystem::remove_all(dir);
   Bitmap saved_matches;
   {
     auto session = MakeSession();
@@ -247,11 +249,11 @@ TEST_F(DebugSessionTest, SuspendAndResumeSession) {
     ASSERT_TRUE(
         session->AddRuleText("exact_match(modelno, modelno) >= 1").ok());
     saved_matches = session->Run();
-    ASSERT_TRUE(session->SaveSession(prefix).ok());
+    ASSERT_TRUE(session->SaveSession(dir).ok());
   }
   {
     auto session = MakeSession();
-    ASSERT_TRUE(session->ResumeSession(prefix).ok());
+    ASSERT_TRUE(session->ResumeSession(dir).ok());
     EXPECT_TRUE(session->has_run());
     EXPECT_EQ(session->Run(), saved_matches);
     EXPECT_EQ(session->function().num_rules(), 2u);
@@ -260,8 +262,50 @@ TEST_F(DebugSessionTest, SuspendAndResumeSession) {
         session->AddRuleText("jaro_winkler(brand, brand) >= 0.97").ok());
     EXPECT_EQ(session->Run(), Oracle(*session));
   }
-  std::remove((prefix + ".rules").c_str());
-  std::remove((prefix + ".state").c_str());
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(DebugSessionTest, ResumedSessionEditsMatchOracle) {
+  // Default (greedy) ordering reorders predicates away from their id
+  // order, and the removed rule leaves a gap in the rule ids: the resumed
+  // bitmaps must still be keyed to the rules and predicates they belong
+  // to, or later incremental edits drift from a from-scratch run.
+  const std::string dir = ::testing::TempDir() + "/emdbg_session_oracle";
+  std::filesystem::remove_all(dir);
+  {
+    auto session = MakeSession();
+    ASSERT_TRUE(session
+                    ->AddRuleText("r1: jaccard(title, title) >= 0.3 AND "
+                                  "exact_match(category, category) >= 1")
+                    .ok());
+    ASSERT_TRUE(session
+                    ->AddRuleText("r2: jaro_winkler(brand, brand) >= 0.9 AND "
+                                  "jaccard(title, title) >= 0.5 AND "
+                                  "exact_match(modelno, modelno) >= 1")
+                    .ok());
+    ASSERT_TRUE(session
+                    ->AddRuleText("r3: levenshtein(modelno, modelno) >= 0.8 "
+                                  "AND jaccard(title, title) >= 0.4")
+                    .ok());
+    session->Run();
+    ASSERT_TRUE(session->RemoveRule(session->function().rule(0).id()).ok());
+    ASSERT_TRUE(session->SaveSession(dir).ok());
+  }
+  auto session = MakeSession();
+  ASSERT_TRUE(session->ResumeSession(dir).ok());
+  EXPECT_EQ(session->Run(), Oracle(*session));
+  for (const double t : {0.0, 0.9, 0.2}) {
+    for (size_t r = 0; r < session->function().num_rules(); ++r) {
+      for (size_t p = 0; p < session->function().rule(r).size(); ++p) {
+        const Rule& rule = session->function().rule(r);
+        ASSERT_TRUE(
+            session->SetThreshold(rule.id(), rule.predicate(p).id, t).ok());
+        EXPECT_EQ(session->Run(), Oracle(*session))
+            << "threshold " << t << " on rule " << r << " predicate " << p;
+      }
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(DebugSessionTest, SaveBeforeRunIsError) {

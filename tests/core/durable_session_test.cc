@@ -89,6 +89,9 @@ TEST_F(DurableSessionTest, EnableWritesCheckpointFiles) {
   EXPECT_EQ(session->EnableDurability(dir_).code(),
             StatusCode::kFailedPrecondition)
       << "double enable";
+  EXPECT_EQ(session->SaveSession(dir_).code(),
+            StatusCode::kFailedPrecondition)
+      << "a new epoch in the durability directory would orphan the journal";
 }
 
 TEST_F(DurableSessionTest, RecoverRestoresEditsFromJournal) {
@@ -263,6 +266,55 @@ TEST_F(DurableSessionTest, UndoIsJournaledAsItsInverse) {
   ASSERT_TRUE(recovered->Recover(dir_).ok());
   EXPECT_EQ(Dsl(*recovered), Dsl(*survivor));
   EXPECT_EQ(recovered->Run(), survivor->Run());
+}
+
+TEST_F(DurableSessionTest, OutOfRangeJournalRecordFailsRecovery) {
+  {
+    auto session = FreshSession();
+    ASSERT_TRUE(session->EnableDurability(dir_, 100).ok());
+  }
+  // A valid record followed by one naming a predicate position that does
+  // not exist (no rule has more than two predicates).
+  std::string text = "EMDBGJ1 1\n";
+  for (const std::string payload :
+       {"set_threshold 0 0 0.7", "remove_pred 0 5"}) {
+    text += StrFormat("%08x ", Crc32c(payload)) + payload + "\n";
+  }
+  ASSERT_TRUE(WriteStringToFile(journal_path(), text).ok());
+
+  auto recovered = FreshSessionForRecovery();
+  const Status s = recovered->Recover(dir_);
+  EXPECT_EQ(s.code(), StatusCode::kParseError) << s;
+  EXPECT_NE(s.message().find("remove_pred 0 5"), std::string::npos) << s;
+  EXPECT_FALSE(recovered->durable());
+  size_t predicates = 0;
+  for (const Rule& rule : recovered->function().rules()) {
+    predicates += rule.size();
+  }
+  EXPECT_EQ(predicates, 3u) << "the out-of-range record must not apply";
+  // Nothing was folded into a new checkpoint: the disk still holds the
+  // epoch-1 checkpoint and the journal exactly as written.
+  auto meta = ReadFileToString(dir_ + "/checkpoint.meta");
+  ASSERT_TRUE(meta.ok());
+  EXPECT_EQ(*meta, "EMDBGCK1 1\n");
+  auto journal = ReadFileToString(journal_path());
+  ASSERT_TRUE(journal.ok());
+  EXPECT_EQ(*journal, text);
+}
+
+TEST_F(DurableSessionTest, RecoverIntoSessionWithOtherFeaturesIsRejected) {
+  {
+    auto session = FreshSession();
+    ASSERT_TRUE(session->EnableDurability(dir_).ok());
+  }
+  // Adding a rule before the first run interns its feature at id 0, where
+  // the checkpoint's memo column 0 holds jaccard(title, title).
+  auto recovered = FreshSessionForRecovery();
+  ASSERT_TRUE(
+      recovered->AddRuleText("jaro_winkler(brand, brand) >= 0.9").ok());
+  EXPECT_EQ(recovered->Recover(dir_).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(recovered->has_run());
 }
 
 TEST_F(DurableSessionTest, RecoverFromMissingDirIsIoError) {

@@ -148,6 +148,19 @@ TEST_F(ServerTest, MalformedRequestsGetExplicitErrors) {
   EXPECT_EQ(c.Call("remove_rule 99").status().code(), StatusCode::kNotFound);
   EXPECT_EQ(c.Call("set_threshold 0 0 nope").status().code(),
             StatusCode::kParseError);
+  ASSERT_TRUE(c.Call("add_rule r1: jaccard(title, title) >= 0.5").ok());
+  EXPECT_EQ(
+      c.Call("add_pred 99 jaccard(title, title) >= 0.5").status().code(),
+      StatusCode::kNotFound);
+  EXPECT_EQ(c.Call("remove_pred 0 99").status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(c.Call("set_threshold 0 99 0.5").status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(c.Call("add_pred 0 jaccard(title, title) >= 0.5 AND "
+                   "exact_match(modelno, modelno) >= 1")
+                .status()
+                .code(),
+            StatusCode::kParseError);
   EXPECT_EQ(c.Call("attach no-such-token").status().code(), StatusCode::kNotFound);
   EXPECT_EQ(c.Call("open token=bad token!").status().code(), StatusCode::kParseError);
 }
