@@ -41,11 +41,15 @@ tsan_filter+='|Server|Soak|Wire|SessionDigest|Fault'
 # bit-parallel Levenshtein, TF-IDF weights) and the resource-governor
 # accounting, whose size_t charge/rollback/saturation paths are exactly
 # where unsigned wraparound bugs would live, and the parsers of on-disk
-# checkpoints and journals (size and index arithmetic on file input).
+# checkpoints and journals (size and index arithmetic on file input),
+# and the session's one edit path: typed and line edits, undo with its
+# id remap, and journal replay (DurableSession holds the replay
+# differential).
 ubsan_filter='Similarity|Levenshtein|Jaro|Cosine|Tfidf|SoftTfidf|Crc32c'
 ubsan_filter+='|Numeric|MongeElkan|Alignment|Interner|IdKernels'
 ubsan_filter+='|MemoryBudget|BudgetFault|Governor|Memo|Bitmap'
 ubsan_filter+='|StateIo|DurableSession|JournalFault|RulesIo'
+ubsan_filter+='|EditLog|DebugSession'
 
 run_mode() {
   local mode="$1" dir

@@ -1,5 +1,6 @@
 #include "src/core/debug_session.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <unordered_map>
 
@@ -165,23 +166,28 @@ Result<MatchingFunction> LoadCheckpointRules(const std::string& path,
   return fn;
 }
 
-/// Splits the leading token off `rest`; tokens are separated by runs of
-/// spaces.
-std::string_view TakeToken(std::string_view& rest) {
-  rest = TrimAscii(rest);
-  const size_t sp = rest.find(' ');
-  const std::string_view tok = rest.substr(0, sp);
-  rest = sp == std::string_view::npos ? std::string_view()
-                                      : TrimAscii(rest.substr(sp + 1));
-  return tok;
-}
-
 /// Consumes a leading non-negative integer token from `rest`.
 bool TakeIndex(std::string_view& rest, size_t* out) {
   int64_t v = 0;
   if (!ParseInt64(TakeToken(rest), &v) || v < 0) return false;
   *out = static_cast<size_t>(v);
   return true;
+}
+
+/// Function-level edits (before the first run, and in batch mode) do no
+/// matching work.
+Result<MatchStats> NoStats(const Status& s) {
+  if (!s.ok()) return s;
+  return MatchStats{};
+}
+
+/// Follows `remap` from an id an undo replaced to the live id.
+uint32_t Resolve(const std::unordered_map<uint32_t, uint32_t>& remap,
+                 uint32_t id) {
+  for (auto it = remap.find(id); it != remap.end(); it = remap.find(id)) {
+    id = it->second;
+  }
+  return id;
 }
 
 }  // namespace
@@ -266,133 +272,288 @@ Result<RuleId> DebugSession::AddRuleText(std::string_view dsl) {
   return AddRule(std::move(*rule));
 }
 
-Status DebugSession::Account(const Result<MatchStats>& stats) {
-  if (!stats.ok()) return stats.status();
-  last_stats_ = *stats;
-  total_stats_ += *stats;
-  return Status::Ok();
-}
-
 Result<RuleId> DebugSession::AddRule(Rule rule) {
-  PrepareRule(rule);
-  if (started_ && options_.incremental) {
-    EMDBG_RETURN_IF_ERROR(Account(log_.AddRule(*inc_, rule)));
-    return inc_->last_added_rule_id();
-  }
-  batch_dirty_ = true;
-  return fn_.AddRule(std::move(rule));
+  Edit edit{.kind = Edit::Kind::kAddRule, .body = std::move(rule)};
+  EMDBG_RETURN_IF_ERROR(Apply(edit));
+  return edit.rule;
 }
 
 Status DebugSession::RemoveRule(RuleId rid) {
-  if (started_ && options_.incremental) {
-    return Account(log_.RemoveRule(*inc_, rid));
-  }
-  batch_dirty_ = true;
-  return fn_.RemoveRule(rid);
+  Edit edit{.kind = Edit::Kind::kRemoveRule, .rule = rid};
+  return Apply(edit);
 }
 
 Result<PredicateId> DebugSession::AddPredicate(RuleId rid, Predicate p) {
-  if (model_ != nullptr) model_->EnsureFeature(p.feature, *ctx_);
-  if (started_ && options_.incremental) {
-    EMDBG_RETURN_IF_ERROR(Account(log_.AddPredicate(*inc_, rid, p)));
-    return inc_->last_added_predicate_id();
-  }
-  batch_dirty_ = true;
-  return fn_.AddPredicate(rid, p);
+  Edit edit{.kind = Edit::Kind::kAddPredicate, .rule = rid, .pred = p};
+  EMDBG_RETURN_IF_ERROR(Apply(edit));
+  return edit.predicate;
 }
 
 Status DebugSession::RemovePredicate(RuleId rid, PredicateId pid) {
-  if (started_ && options_.incremental) {
-    return Account(log_.RemovePredicate(*inc_, rid, pid));
-  }
-  batch_dirty_ = true;
-  return fn_.RemovePredicate(rid, pid);
+  Edit edit{
+      .kind = Edit::Kind::kRemovePredicate, .rule = rid, .predicate = pid};
+  return Apply(edit);
 }
 
 Status DebugSession::SetThreshold(RuleId rid, PredicateId pid,
                                   double threshold) {
-  if (started_ && options_.incremental) {
-    return Account(log_.SetThreshold(*inc_, rid, pid, threshold));
-  }
-  batch_dirty_ = true;
-  return fn_.SetThreshold(rid, pid, threshold);
+  Edit edit{.kind = Edit::Kind::kSetThreshold,
+            .rule = rid,
+            .predicate = pid,
+            .threshold = threshold};
+  return Apply(edit);
 }
 
 Result<RuleId> DebugSession::ApplyEdit(std::string_view line) {
+  Result<Edit> edit = ParseEdit(line);
+  if (!edit.ok()) return edit.status();
+  EMDBG_RETURN_IF_ERROR(Apply(*edit));
+  return edit->rule;
+}
+
+Status DebugSession::Apply(Edit& edit, bool undo) {
+  using Kind = Edit::Kind;
+  if (!undo && edit.kind == Kind::kAddRule) PrepareRule(edit.body);
+  if (!undo && edit.kind == Kind::kAddPredicate && model_ != nullptr) {
+    model_->EnsureFeature(edit.pred.feature, *ctx_);
+  }
+
+  // Resolve the ids once, and take the positions the journal line names
+  // from the function as the edit finds it.
+  const MatchingFunction& fn = function();
+  size_t rule_pos = 0;
+  size_t pred_pos = 0;
+  if (edit.kind != Kind::kAddRule) {
+    edit.rule = Resolve(rule_remap_, edit.rule);
+    rule_pos = fn.FindRule(edit.rule);
+    if (rule_pos == fn.num_rules()) {
+      return Status::NotFound(StrFormat("rule %u not found", edit.rule));
+    }
+  }
+  if (edit.kind == Kind::kRemovePredicate ||
+      edit.kind == Kind::kSetThreshold) {
+    edit.predicate = Resolve(predicate_remap_, edit.predicate);
+    pred_pos = fn.rule(rule_pos).FindPredicate(edit.predicate);
+    if (pred_pos == fn.rule(rule_pos).size()) {
+      return Status::NotFound(StrFormat("predicate %u not found in rule %u",
+                                        edit.predicate, edit.rule));
+    }
+  }
+
+  // Each case first takes what the inverse needs from what the edit is
+  // about to remove or overwrite.
+  const bool live = started_ && options_.incremental;
+  Edit inverse{.kind = edit.kind};
+  Result<MatchStats> stats = MatchStats{};
+  switch (edit.kind) {
+    case Kind::kAddRule:
+      inverse.kind = Kind::kRemoveRule;
+      if (live) {
+        stats = inc_->AddRule(edit.body);
+        edit.rule = inc_->last_added_rule_id();
+      } else {
+        edit.rule = fn_.AddRule(edit.body);
+      }
+      break;
+    case Kind::kRemoveRule:
+      inverse.kind = Kind::kAddRule;
+      inverse.body = fn.rule(rule_pos);
+      stats = live ? inc_->RemoveRule(edit.rule)
+                   : NoStats(fn_.RemoveRule(edit.rule));
+      break;
+    case Kind::kAddPredicate:
+      inverse.kind = Kind::kRemovePredicate;
+      if (live) {
+        stats = inc_->AddPredicate(edit.rule, edit.pred);
+        edit.predicate = inc_->last_added_predicate_id();
+      } else {
+        // The rule was found above, so this cannot fail.
+        edit.predicate = *fn_.AddPredicate(edit.rule, edit.pred);
+      }
+      break;
+    case Kind::kRemovePredicate:
+      inverse.kind = Kind::kAddPredicate;
+      inverse.pred = fn.rule(rule_pos).predicate(pred_pos);
+      stats = live ? inc_->RemovePredicate(edit.rule, edit.predicate)
+                   : NoStats(fn_.RemovePredicate(edit.rule, edit.predicate));
+      break;
+    case Kind::kSetThreshold:
+      inverse.threshold = fn.rule(rule_pos).predicate(pred_pos).threshold;
+      stats = live ? inc_->SetThreshold(edit.rule, edit.predicate,
+                                        edit.threshold)
+                   : NoStats(fn_.SetThreshold(edit.rule, edit.predicate,
+                                              edit.threshold));
+      break;
+  }
+  if (!stats.ok()) return stats.status();
+  if (live) {
+    last_stats_ = *stats;
+    total_stats_ += *stats;
+  } else {
+    batch_dirty_ = true;
+  }
+
+  if (undo) {
+    history_.pop_back();
+    // Re-created rules and predicates have fresh ids; map the ids they
+    // had (kept in the payload) so older history and callers still
+    // reach them. AddRule keeps predicate order, so map positionally.
+    if (edit.kind == Kind::kAddRule) {
+      rule_remap_[edit.body.id()] = edit.rule;
+      const Rule& restored = function().rules().back();
+      for (size_t k = 0; k < edit.body.size(); ++k) {
+        predicate_remap_[edit.body.predicate(k).id] =
+            restored.predicate(k).id;
+      }
+    } else if (edit.kind == Kind::kAddPredicate) {
+      predicate_remap_[edit.pred.id] = edit.predicate;
+    }
+  } else if (live) {
+    inverse.rule = edit.rule;
+    inverse.predicate = edit.predicate;
+    history_.push_back(std::move(inverse));
+  }
+
+  if (journal_ != nullptr) {
+    EMDBG_RETURN_IF_ERROR(
+        journal_->Append(EditLine(edit, rule_pos, pred_pos)));
+    if (++edits_since_checkpoint_ >= checkpoint_every_) {
+      EMDBG_RETURN_IF_ERROR(WriteCheckpoint());
+    }
+  }
+  return Status::Ok();
+}
+
+Result<DebugSession::Edit> DebugSession::ParseEdit(std::string_view line) {
+  using Kind = Edit::Kind;
   std::string_view rest = line;
   const std::string_view verb = TakeToken(rest);
-  const std::vector<Rule>& rules = function().rules();
-
+  Edit edit;
+  if (verb == "add_rule_empty") {
+    edit.body = Rule(std::string(rest));
+    return edit;
+  }
   if (verb == "add_rule") {
     if (rest.empty()) {
       return Status::ParseError("add_rule takes a rule in DSL");
     }
     Result<Rule> rule = ParseRule(rest, catalog_);
     if (!rule.ok()) return rule.status();
-    return AddRule(std::move(*rule));
+    edit.body = std::move(*rule);
+    return edit;
   }
-  if (verb == "add_rule_empty") return AddRule(Rule(std::string(rest)));
-  if (verb == "remove_rule") {
-    size_t pos = 0;
-    if (!TakeIndex(rest, &pos)) {
-      return Status::ParseError("remove_rule takes a rule index");
-    }
-    if (pos >= rules.size()) {
-      return Status::NotFound("rule index out of range");
-    }
-    const RuleId rid = rules[pos].id();
-    EMDBG_RETURN_IF_ERROR(RemoveRule(rid));
-    return rid;
+
+  // The positional verbs: a rule position, then a predicate position for
+  // remove_pred / set_threshold.
+  static constexpr struct {
+    std::string_view verb;
+    Kind kind;
+    std::string_view args;
+  } kVerbs[] = {
+      {"remove_rule", Kind::kRemoveRule, "<rule>"},
+      {"add_pred", Kind::kAddPredicate, "<rule> <predicate>"},
+      {"remove_pred", Kind::kRemovePredicate, "<rule> <pred>"},
+      {"set_threshold", Kind::kSetThreshold, "<rule> <pred> <threshold>"},
+  };
+  const auto* v = std::find_if(std::begin(kVerbs), std::end(kVerbs),
+                               [&](const auto& k) { return k.verb == verb; });
+  if (v == std::end(kVerbs)) {
+    return Status::ParseError("unknown edit verb: " + std::string(verb));
   }
-  if (verb == "add_pred") {
-    size_t pos = 0;
-    if (!TakeIndex(rest, &pos)) {
-      return Status::ParseError("add_pred takes a rule index and a predicate");
-    }
-    if (pos >= rules.size()) {
-      return Status::NotFound("rule index out of range");
-    }
-    const RuleId rid = rules[pos].id();
+  edit.kind = v->kind;
+  const bool on_pred =
+      edit.kind == Kind::kRemovePredicate || edit.kind == Kind::kSetThreshold;
+  size_t rpos = 0;
+  size_t ppos = 0;
+  if (!TakeIndex(rest, &rpos) || (on_pred && !TakeIndex(rest, &ppos)) ||
+      (edit.kind == Kind::kSetThreshold &&
+       !ParseDouble(TrimAscii(rest), &edit.threshold))) {
+    return Status::ParseError(StrFormat("usage: %s %s", v->verb.data(),
+                                        v->args.data()));
+  }
+  const std::vector<Rule>& rules = function().rules();
+  if (rpos >= rules.size() || (on_pred && ppos >= rules[rpos].size())) {
+    return Status::NotFound("index out of range");
+  }
+  edit.rule = rules[rpos].id();
+  if (on_pred) edit.predicate = rules[rpos].predicate(ppos).id;
+  if (edit.kind == Kind::kAddPredicate) {
     // A single predicate parses as a one-predicate anonymous rule.
     Result<Rule> parsed = ParseRule(rest, catalog_);
     if (!parsed.ok()) return parsed.status();
     if (parsed->size() != 1) {
       return Status::ParseError("expected exactly one predicate");
     }
-    EMDBG_RETURN_IF_ERROR(AddPredicate(rid, parsed->predicate(0)).status());
-    return rid;
+    edit.pred = parsed->predicate(0);
   }
-  const bool remove = verb == "remove_pred";
-  if (remove || verb == "set_threshold") {
-    size_t rpos = 0, ppos = 0;
-    double threshold = 0.0;
-    if (!TakeIndex(rest, &rpos) || !TakeIndex(rest, &ppos) ||
-        (!remove && !ParseDouble(TrimAscii(rest), &threshold))) {
-      return Status::ParseError(
-          remove ? "remove_pred takes rule and predicate indices"
-                 : "set_threshold takes rule index, predicate index, value");
-    }
-    if (rpos >= rules.size() || ppos >= rules[rpos].size()) {
-      return Status::NotFound("index out of range");
-    }
-    const RuleId rid = rules[rpos].id();
-    const PredicateId pid = rules[rpos].predicate(ppos).id;
-    EMDBG_RETURN_IF_ERROR(remove ? RemovePredicate(rid, pid)
-                                 : SetThreshold(rid, pid, threshold));
-    return rid;
+  return edit;
+}
+
+std::string DebugSession::EditLine(const Edit& edit, size_t rule_pos,
+                                   size_t pred_pos) const {
+  switch (edit.kind) {
+    case Edit::Kind::kAddRule:
+      // Empty rules have no DSL form and get their own verb.
+      if (edit.body.empty()) {
+        return edit.body.name().empty()
+                   ? "add_rule_empty"
+                   : "add_rule_empty " + edit.body.name();
+      }
+      return "add_rule " + RuleToDsl(edit.body, catalog_);
+    case Edit::Kind::kRemoveRule:
+      return StrFormat("remove_rule %zu", rule_pos);
+    case Edit::Kind::kAddPredicate:
+      return StrFormat("add_pred %zu %s", rule_pos,
+                       PredicateToDsl(edit.pred, catalog_).c_str());
+    case Edit::Kind::kRemovePredicate:
+      return StrFormat("remove_pred %zu %zu", rule_pos, pred_pos);
+    case Edit::Kind::kSetThreshold:
+      return StrFormat("set_threshold %zu %zu %.17g", rule_pos, pred_pos,
+                       edit.threshold);
   }
-  return Status::ParseError("unknown edit verb: " + std::string(verb));
+  return std::string();
 }
 
 Status DebugSession::Undo() {
-  if (!started_ || !options_.incremental) {
-    return Status::FailedPrecondition(
-        "undo requires a running incremental session");
+  // Only post-run edits in incremental mode are recorded.
+  if (history_.empty()) {
+    return Status::FailedPrecondition("no post-run edit to undo");
   }
-  return Account(log_.Undo(*inc_));
+  Edit inverse = history_.back();  // Apply pops the original
+  return Apply(inverse, /*undo=*/true);
 }
 
-std::string DebugSession::History() const { return log_.Describe(catalog_); }
+std::string DebugSession::History() const {
+  // Each entry is the inverse of the edit it lists.
+  std::string out;
+  for (size_t i = 0; i < history_.size(); ++i) {
+    const Edit& inverse = history_[i];
+    out += StrFormat("%3zu. ", i + 1);
+    switch (inverse.kind) {
+      case Edit::Kind::kRemoveRule:
+        out += StrFormat("add rule #%u", inverse.rule);
+        break;
+      case Edit::Kind::kAddRule:
+        out += "remove rule " + inverse.body.name();
+        break;
+      case Edit::Kind::kRemovePredicate:
+        out += StrFormat("add predicate #%u to rule #%u", inverse.predicate,
+                         inverse.rule);
+        break;
+      case Edit::Kind::kAddPredicate:
+        out += StrFormat("remove predicate %s from rule #%u",
+                         PredicateToString(inverse.pred, catalog_).c_str(),
+                         inverse.rule);
+        break;
+      case Edit::Kind::kSetThreshold:
+        out += StrFormat("set threshold of predicate #%u (was %.4g)",
+                         inverse.predicate, inverse.threshold);
+        break;
+    }
+    out += "\n";
+  }
+  return out;
+}
 
 MatchResult DebugSession::FirstRun(const RunControl& control) {
   // Estimate the cost model on a small random sample (paper: 1%), order
@@ -523,9 +684,10 @@ Status DebugSession::ResumeSession(const std::string& dir) {
   Result<MatchState> state = LoadMatchState(StatePath(dir, *epoch));
   if (!state.ok()) return state.status();
 
-  inc_ = std::make_unique<IncrementalMatcher>(*ctx_, *pairs_, IncOptions());
-  EMDBG_RETURN_IF_ERROR(inc_->Resume(*rules, std::move(*state)));
-  fn_ = *rules;
+  auto inc = std::make_unique<IncrementalMatcher>(*ctx_, *pairs_,
+                                                  IncOptions());
+  EMDBG_RETURN_IF_ERROR(inc->Resume(*rules, std::move(*state)));
+  inc_ = std::move(inc);
   started_ = true;
   epoch_ = *epoch;
   return Status::Ok();
@@ -550,26 +712,12 @@ std::string DebugSession::RuleActivityReport() const {
 }
 
 MatchStats DebugSession::Reoptimize() {
-  MatchingFunction current = function();
-  const CandidateSet sample =
-      SamplePairs(*pairs_, options_.sample_fraction, rng_);
-  model_ = std::make_unique<CostModel>(
-      CostModel::EstimateForFunction(current, *ctx_, sample));
-  ApplyOrdering(current, options_.ordering, *model_, &rng_);
-  fn_ = current;
-  if (options_.incremental) {
-    if (inc_ == nullptr) {
-      inc_ = std::make_unique<IncrementalMatcher>(*ctx_, *pairs_,
-                                                   IncOptions());
-    }
-    last_stats_ = inc_->FullRun(fn_);
-  } else {
-    last_stats_ = BatchRun(RunControl()).stats;
-    batch_dirty_ = false;
-  }
-  total_stats_ += last_stats_;
-  started_ = true;
-  return last_stats_;
+  fn_ = function();
+  const MatchStats stats = FirstRun(RunControl()).stats;
+  // Journal lines name rules by position, and the new order moved them:
+  // replay must start from a checkpoint of that order.
+  if (durable() && (!started_ || !WriteCheckpoint().ok())) journal_.reset();
+  return stats;
 }
 
 Status DebugSession::EnableDurability(const std::string& dir,
@@ -600,10 +748,8 @@ Status DebugSession::EnableDurability(const std::string& dir,
   if (!s.ok()) {
     journal_.reset();
     durability_dir_.clear();
-    return s;
   }
-  AttachJournalSink();
-  return Status::Ok();
+  return s;
 }
 
 Status DebugSession::Checkpoint() {
@@ -664,19 +810,32 @@ Status DebugSession::WriteCheckpoint() {
   return Status::Ok();
 }
 
-void DebugSession::AttachJournalSink() {
-  log_.SetJournal(&catalog_, [this](std::string_view payload) {
-    EMDBG_RETURN_IF_ERROR(journal_->Append(payload));
-    if (++edits_since_checkpoint_ >= checkpoint_every_) {
-      return WriteCheckpoint();
-    }
-    return Status::Ok();
-  });
-}
-
 Status DebugSession::Recover(const std::string& dir,
                              size_t checkpoint_every) {
-  EMDBG_RETURN_IF_ERROR(ResumeSession(dir));
+  if (started_) {
+    return Status::FailedPrecondition(
+        "resume must happen before the first run");
+  }
+  // Any failure below rolls back to this pre-resume state, so a failed
+  // recovery can be retried. (The catalog keeps features the checkpoint
+  // interned; a retry re-interns them at the same ids.)
+  std::unique_ptr<IncrementalMatcher> prior_inc = std::move(inc_);
+  const MatchStats prior_last = last_stats_;
+  const MatchStats prior_total = total_stats_;
+  auto fail = [&](Status s) {
+    inc_ = std::move(prior_inc);
+    started_ = false;
+    epoch_ = 0;
+    history_.clear();
+    rule_remap_.clear();
+    predicate_remap_.clear();
+    last_stats_ = prior_last;
+    total_stats_ = prior_total;
+    journal_.reset();
+    durability_dir_.clear();
+    return s;
+  };
+  if (Status s = ResumeSession(dir); !s.ok()) return fail(s);
 
   // Replay edits committed after the checkpoint. A missing journal means
   // nothing to replay; a journal from an older epoch was superseded by
@@ -693,27 +852,21 @@ Status DebugSession::Recover(const std::string& dir,
         if (s.ok()) continue;
         // A budget denial leaves the disk state intact and is retryable;
         // a record that does not apply means the journal is corrupt.
-        if (s.code() == StatusCode::kResourceExhausted) return s;
-        return Status::ParseError(StrFormat(
+        if (s.code() == StatusCode::kResourceExhausted) return fail(s);
+        return fail(Status::ParseError(StrFormat(
             "bad journal record '%s': %s", record.c_str(),
-            s.message().c_str()));
+            s.message().c_str())));
       }
     }
   } else if (journal.status().code() != StatusCode::kIoError) {
-    return journal.status();
+    return fail(journal.status());
   }
 
   // Re-enable durability here: fold the replayed edits into a fresh
   // checkpoint and start a clean journal.
   durability_dir_ = dir;
   checkpoint_every_ = checkpoint_every;
-  Status s = WriteCheckpoint();
-  if (!s.ok()) {
-    journal_.reset();
-    durability_dir_.clear();
-    return s;
-  }
-  AttachJournalSink();
+  if (Status s = WriteCheckpoint(); !s.ok()) return fail(s);
   return Status::Ok();
 }
 

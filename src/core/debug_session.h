@@ -4,10 +4,12 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <unordered_map>
+#include <vector>
 
 #include "src/block/candidate_pairs.h"
 #include "src/core/cost_model.h"
-#include "src/core/edit_log.h"
+#include "src/core/edit_journal.h"
 #include "src/core/explain.h"
 #include "src/core/incremental.h"
 #include "src/core/match_result.h"
@@ -35,6 +37,16 @@ namespace emdbg {
 /// Options::incremental is false, in which case every Run() re-evaluates
 /// all rules (still reusing the memo — the "precomputation variation" of
 /// Sec. 7.6).
+///
+/// Every edit takes one path. The typed methods (AddRule, SetThreshold,
+/// ...) and ApplyEdit's positional lines both build an `Edit` — a kind,
+/// ids and a rule, predicate or threshold payload — and hand it to one
+/// private Apply. Apply resolves the ids once, applies the edit to the
+/// incremental engine after the first run (or to the pending function
+/// before it and in batch mode), accounts the work, writes the edit's
+/// positional line to the journal when durability is on, and records the
+/// inverse edit. Undo applies that inverse through the same path, so an
+/// undo is journaled as the concrete forward edit it performs.
 class DebugSession {
  public:
   struct Options {
@@ -141,10 +153,14 @@ class DebugSession {
   Result<RuleId> ApplyEdit(std::string_view line);
 
   /// Reverts the most recent post-run edit (incremental mode only;
-  /// edits before the first Run() and batch-mode edits are not journaled).
+  /// edits before the first Run() and batch-mode edits are not recorded).
+  /// Rules and predicates an undo re-creates get fresh ids; the ids they
+  /// had keep working in later edits and undos. FailedPrecondition when
+  /// there is nothing to undo.
   Status Undo();
 
-  /// Human-readable journal of post-run edits, oldest first.
+  /// Human-readable list of the post-run edits Undo can revert, oldest
+  /// first.
   std::string History() const;
 
   // ---- Running and inspecting. ----
@@ -213,7 +229,10 @@ class DebugSession {
 
   /// Re-estimates the cost model, re-orders all rules with the configured
   /// strategy, and performs a fresh full run. Useful after many edits
-  /// have drifted away from the original ordering.
+  /// have drifted away from the original ordering. A durable session
+  /// checkpoints the new order; if it cannot, durability turns off
+  /// (durable() is false) rather than journal positions replay would
+  /// misread.
   MatchStats Reoptimize();
 
   /// Suspends the session into directory `dir` (created if missing) as a
@@ -259,7 +278,8 @@ class DebugSession {
   /// tables/candidates must match the crashed session's. ParseError on
   /// corrupt files or a journal record that does not apply (a torn final
   /// record — a crash mid-append — is tolerated and dropped; that edit
-  /// never committed).
+  /// never committed). A failed recovery leaves the session as it was
+  /// before the call (not run, not durable), so it can be retried.
   Status Recover(const std::string& dir, size_t checkpoint_every = 25);
 
   bool durable() const { return journal_ != nullptr; }
@@ -268,8 +288,9 @@ class DebugSession {
   size_t edits_since_checkpoint() const { return edits_since_checkpoint_; }
 
  private:
-  /// First-run path: estimate, order, full run. Returns the full result;
-  /// a partial one (stopped by `control`) leaves the session not-started.
+  /// First-run path, also Reoptimize's: estimate, order, full run of
+  /// `fn_`. Returns the full result; a partial one (stopped by `control`)
+  /// leaves the session not-started.
   MatchResult FirstRun(const RunControl& control);
 
   /// Brings the cost model up to date with `fn`'s features and orders a
@@ -280,8 +301,42 @@ class DebugSession {
   /// pool, budget and block size).
   IncrementalMatcher::Options IncOptions();
 
-  /// Records the work of one incremental edit in last/total stats.
-  Status Account(const Result<MatchStats>& stats);
+  /// One edit of the debugging loop (Fig. 1), by stable ids.
+  struct Edit {
+    enum class Kind : uint8_t {
+      kAddRule,
+      kRemoveRule,
+      kAddPredicate,
+      kRemovePredicate,
+      kSetThreshold,
+    };
+    Kind kind = Kind::kAddRule;
+    /// Target rule (not for kAddRule) and predicate (kRemovePredicate,
+    /// kSetThreshold).
+    RuleId rule = kInvalidRule;
+    PredicateId predicate = kInvalidPredicate;
+    /// kAddRule / kAddPredicate payloads. An undo's payload keeps the ids
+    /// it had, which the undo maps to the re-created ones.
+    Rule body = Rule();
+    Predicate pred = Predicate();
+    /// kSetThreshold's new value.
+    double threshold = 0.0;
+  };
+
+  /// The one edit path (see the class comment). Resolves `edit`'s ids in
+  /// place: on success `rule` / `predicate` name the live ones it touched
+  /// (the new ones for adds). A new edit has its rule ordered by the cost
+  /// model and its inverse recorded (post-run, incremental mode); `undo`
+  /// applies the last recorded inverse and pops it. A failed journal
+  /// append is returned with the edit applied and recorded.
+  Status Apply(Edit& edit, bool undo = false);
+
+  /// The positional edit grammar, in one parse/format pair: ParseEdit
+  /// resolves a line's positions against the current function; EditLine
+  /// writes an edit back with the positions it found the function at.
+  Result<Edit> ParseEdit(std::string_view line);
+  std::string EditLine(const Edit& edit, size_t rule_pos,
+                       size_t pred_pos) const;
 
   /// Non-incremental full run of `fn_` into batch_state_ on the block
   /// engine (on the session's pool when it has one; identical results
@@ -309,7 +364,12 @@ class DebugSession {
   bool batch_dirty_ = true;
 
   std::unique_ptr<IncrementalMatcher> inc_;
-  EditLog log_;
+  /// Inverses of the recorded edits, oldest first (popped by Undo).
+  std::vector<Edit> history_;
+  /// Ids of rules and predicates an undo re-created, mapped to the new
+  /// ids (chains when a re-created one is removed and re-created again).
+  std::unordered_map<RuleId, RuleId> rule_remap_;
+  std::unordered_map<PredicateId, PredicateId> predicate_remap_;
   std::unique_ptr<CostModel> model_;
   bool started_ = false;
   MatchStats last_stats_;
@@ -326,10 +386,6 @@ class DebugSession {
   /// Writes checkpoint epoch_+1 and swaps the journal; shared by
   /// EnableDurability / Checkpoint / Recover.
   Status WriteCheckpoint();
-
-  /// Routes committed edits into the journal and triggers the periodic
-  /// checkpoint.
-  void AttachJournalSink();
 
   std::string durability_dir_;
   /// Epoch of the durability checkpoint last written, or of the snapshot

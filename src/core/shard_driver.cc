@@ -65,17 +65,13 @@ Status ShardedMatchDriver::DrainSpill() {
 
 Status ShardedMatchDriver::SpillState(MatchState state,
                                       const std::string& path) {
-  // One injection point covers both the sync and async paths: a denied
-  // spill must fail the run cleanly, never corrupt merged results.
+  // A denied spill must fail the run cleanly, never corrupt merged
+  // results.
   if (FaultFire("spill.write")) {
     return Status::IoError("shard driver: injected spill failure for '" +
                            path + "'");
   }
-  if (!options_.double_buffer) {
-    EMDBG_RETURN_IF_ERROR(SaveMatchState(state, path));
-    spilled_bytes_ += state.MemoryBytes();
-    return Status::Ok();
-  }
+  // Overlap the next shard's evaluation with this shard's spill IO.
   EMDBG_RETURN_IF_ERROR(DrainSpill());
   auto job = std::make_unique<SpillJob>();
   job->state = std::move(state);
@@ -118,7 +114,7 @@ Status ShardedMatchDriver::ProcessShard(const MatchingFunction& fn,
   Status attach = state.AttachBudget(options_.budget);
   if (!attach.ok()) return attach;
   Status cap = state.EnsureCapacity(n, ctx.catalog().size());
-  if (!cap.ok() && options_.double_buffer && inflight_ != nullptr) {
+  if (!cap.ok() && inflight_ != nullptr) {
     // The spilling shard may still hold its billing; finish the IO and
     // retry once before declaring the budget exhausted.
     EMDBG_RETURN_IF_ERROR(DrainSpill());

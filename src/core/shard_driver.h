@@ -79,8 +79,6 @@ class ShardedMatchDriver {
     /// keeps only the match bits and shard state is discarded as each
     /// shard completes (Rematch then recomputes from scratch).
     bool keep_state = true;
-    /// Overlap shard evaluation with the previous shard's spill IO.
-    bool double_buffer = true;
   };
 
   struct ShardInfo {
@@ -164,8 +162,8 @@ class ShardedMatchDriver {
 
   /// Waits for the in-flight spill (if any) and surfaces its status.
   Status DrainSpill();
-  /// Spills `state` to `path` (synchronously or on the IO thread, per
-  /// Options::double_buffer).
+  /// Spills `state` to `path` on the IO thread, after the previous
+  /// shard's spill finished.
   Status SpillState(MatchState state, const std::string& path);
 
   Options options_;

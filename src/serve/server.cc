@@ -30,16 +30,6 @@ std::string Err(StatusCode code, const std::string& msg) {
   return StrFormat("err %s %s", StatusCodeName(code), msg.c_str());
 }
 
-/// Splits the leading space-delimited token off `rest`.
-std::string_view TakeToken(std::string_view& rest) {
-  rest = TrimAscii(rest);
-  const size_t sp = rest.find(' ');
-  std::string_view tok = sp == std::string_view::npos ? rest : rest.substr(0, sp);
-  rest = sp == std::string_view::npos ? std::string_view()
-                                      : TrimAscii(rest.substr(sp + 1));
-  return tok;
-}
-
 /// Session tokens become directory names under durability_root, so the
 /// grammar is deliberately restrictive.
 bool ValidToken(std::string_view token) {
@@ -601,6 +591,11 @@ void Server::HandleOpen(Connection& conn, std::string_view rest) {
     if (durable && options_.durability_root.empty()) {
       resp = Err(StatusCode::kFailedPrecondition,
                  "durability not configured on this server");
+    } else if (durable && options_.session_sharded) {
+      // Durability journals incremental edits; sharded sessions run in
+      // batch mode and could never turn it on.
+      resp = Err(StatusCode::kFailedPrecondition,
+                 "durable sessions are not available on a sharded server");
     } else if (FaultFire("serve.session")) {
       stats_.requests_shed++;
       resp = ErrShed("session allocation failed (injected)");
@@ -626,26 +621,10 @@ void Server::HandleOpen(Connection& conn, std::string_view rest) {
         resp = Err(StatusCode::kAlreadyExists,
                    "session token already in use");
       } else {
-        DebugSession::Options so;
-        so.num_threads = options_.session_threads;
-        if (options_.session_sharded) {
-          // Out-of-core sessions run in batch mode: sharding needs the
-          // memo non-resident, which rules out incremental maintenance.
-          so.sharded = true;
-          so.shard_pairs = options_.session_shard_pairs;
-          so.incremental = false;
-        }
         auto entry = std::make_unique<SessionEntry>();
         entry->token = token;
-        if (budget_ != nullptr) {
-          entry->quota = std::make_unique<MemoryBudget>(
-              budget_.get(), options_.session_quota_bytes,
-              "session/" + token);
-          so.budget = entry->quota.get();
-        }
-        entry->session =
-            std::make_unique<DebugSession>(a_, b_, pairs_, so);
         entry->durable = durable;
+        NewSession(*entry);
         if (durable) entry->dir = options_.durability_root + "/" + token;
         entry->attached_conn = conn.id;
         sessions_.emplace(token, std::move(entry));
@@ -656,6 +635,30 @@ void Server::HandleOpen(Connection& conn, std::string_view rest) {
     }
   }
   WriteResponse(conn.shared, resp);
+}
+
+void Server::NewSession(SessionEntry& entry) {
+  DebugSession::Options so;
+  so.num_threads = options_.session_threads;
+  if (options_.session_sharded && !entry.durable) {
+    // Out-of-core sessions run in batch mode: sharding needs the memo
+    // non-resident, which rules out incremental maintenance (and so
+    // durability, which journals incremental edits).
+    so.sharded = true;
+    so.shard_pairs = options_.session_shard_pairs;
+    so.incremental = false;
+  }
+  if (budget_ != nullptr) {
+    // A resumed entry reuses its quota (its billing drained when the old
+    // session object was dropped); new entries get a fresh child.
+    if (entry.quota == nullptr) {
+      entry.quota = std::make_unique<MemoryBudget>(
+          budget_.get(), options_.session_quota_bytes,
+          "session/" + entry.token);
+    }
+    so.budget = entry.quota.get();
+  }
+  entry.session = std::make_unique<DebugSession>(a_, b_, pairs_, so);
 }
 
 void Server::HandleAttach(Connection& conn, std::string_view rest) {
@@ -725,23 +728,8 @@ void Server::HandleResume(Connection& conn, std::string_view rest) {
         sessions_.emplace(token, std::move(fresh));
       }
       if (entry != nullptr) {
-        DebugSession::Options so;
-        so.num_threads = options_.session_threads;
-        // Note: no sharding here — resume is durable-only, and durability
-        // requires incremental sessions, which sharding rules out.
-        if (budget_ != nullptr) {
-          // Reuse the degraded entry's quota (its billing drained when
-          // the old session object was dropped); fresh entries get a
-          // fresh child.
-          if (entry->quota == nullptr) {
-            entry->quota = std::make_unique<MemoryBudget>(
-                budget_.get(), options_.session_quota_bytes,
-                "session/" + token);
-          }
-          so.budget = entry->quota.get();
-        }
-        entry->session = std::make_unique<DebugSession>(a_, b_, pairs_, so);
         entry->durable = true;
+        NewSession(*entry);
         entry->degraded = false;  // re-flagged by the worker on failure
         entry->dir = options_.durability_root + "/" + token;
         entry->attached_conn = conn.id;
@@ -1006,15 +994,12 @@ std::string Server::ExecuteSessionCommand(SessionEntry& entry, Request& req,
                                        : verb == "add_pred"    ? "added"
                                                                : "removed");
     }
+    // A new rule is appended to the evaluation order.
     const std::vector<Rule>& rules = s.function().rules();
-    std::string what = "rule=?";
-    for (size_t i = 0; i < rules.size(); ++i) {
-      if (rules[i].id() == *rid) {
-        what = StrFormat("rule=%s pos=%zu", rules[i].name().c_str(), i);
-        break;
-      }
-    }
-    return finish_edit(Status::Ok(), what);
+    return finish_edit(Status::Ok(),
+                       StrFormat("rule=%s pos=%zu",
+                                 rules.back().name().c_str(),
+                                 rules.size() - 1));
   }
   if (verb == "undo") {
     return finish_edit(s.Undo(), "undone");

@@ -90,6 +90,7 @@ class Server {
     /// with shard-sized memo slices bounded by the session quota instead
     /// of a resident memo (see DebugSession::Options::sharded). Only
     /// meaningful with non-incremental sessions; bit-identical results.
+    /// `open durable` is refused: durability needs incremental sessions.
     bool session_sharded = false;
     /// Pairs per shard for sharded sessions (0 = derive from the quota).
     size_t session_shard_pairs = 0;
@@ -188,6 +189,9 @@ class Server {
   void HandleOpen(Connection& conn, std::string_view rest);
   void HandleAttach(Connection& conn, std::string_view rest);
   void HandleResume(Connection& conn, std::string_view rest);
+  /// Builds `entry.session` over the shared corpus, billed to the entry's
+  /// quota (created on first use). mu_ held by caller.
+  void NewSession(SessionEntry& entry);
   /// Worker-side execution of one session request. Returns true when the
   /// session asked to close; in that case the response is handed back via
   /// `deferred_resp` instead of being written, so the caller can erase

@@ -31,6 +31,15 @@ std::string_view TrimAscii(std::string_view s) {
   return s.substr(begin, end - begin);
 }
 
+std::string_view TakeToken(std::string_view& rest) {
+  rest = TrimAscii(rest);
+  const size_t sp = rest.find(' ');
+  const std::string_view tok = rest.substr(0, sp);
+  rest = sp == std::string_view::npos ? std::string_view()
+                                      : TrimAscii(rest.substr(sp + 1));
+  return tok;
+}
+
 std::vector<std::string> Split(std::string_view s, char delim) {
   std::vector<std::string> out;
   size_t start = 0;

@@ -16,6 +16,9 @@ std::string ToLowerAscii(std::string_view s);
 /// Removes leading/trailing ASCII whitespace.
 std::string_view TrimAscii(std::string_view s);
 
+/// Splits the leading space-separated token off `rest` (trimmed).
+std::string_view TakeToken(std::string_view& rest);
+
 /// Splits on `delim`; keeps empty fields ("a,,b" → {"a","","b"}).
 std::vector<std::string> Split(std::string_view s, char delim);
 

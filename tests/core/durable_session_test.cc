@@ -1,12 +1,14 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/core/debug_session.h"
-#include "src/core/edit_log.h"
+#include "src/core/edit_journal.h"
 #include "src/core/rule_parser.h"
+#include "src/serve/session_digest.h"
 #include "src/util/crc32c.h"
 #include "src/util/csv.h"
 #include "src/util/string_util.h"
@@ -287,11 +289,9 @@ TEST_F(DurableSessionTest, OutOfRangeJournalRecordFailsRecovery) {
   EXPECT_EQ(s.code(), StatusCode::kParseError) << s;
   EXPECT_NE(s.message().find("remove_pred 0 5"), std::string::npos) << s;
   EXPECT_FALSE(recovered->durable());
-  size_t predicates = 0;
-  for (const Rule& rule : recovered->function().rules()) {
-    predicates += rule.size();
-  }
-  EXPECT_EQ(predicates, 3u) << "the out-of-range record must not apply";
+  EXPECT_FALSE(recovered->has_run());
+  EXPECT_EQ(recovered->function().num_rules(), 0u)
+      << "a failed recovery rolls back to the pre-resume session";
   // Nothing was folded into a new checkpoint: the disk still holds the
   // epoch-1 checkpoint and the journal exactly as written.
   auto meta = ReadFileToString(dir_ + "/checkpoint.meta");
@@ -300,6 +300,187 @@ TEST_F(DurableSessionTest, OutOfRangeJournalRecordFailsRecovery) {
   auto journal = ReadFileToString(journal_path());
   ASSERT_TRUE(journal.ok());
   EXPECT_EQ(*journal, text);
+}
+
+TEST_F(DurableSessionTest, ReoptimizeKeepsJournalReplayable) {
+  auto session = FreshSession();
+  ASSERT_TRUE(session->EnableDurability(dir_, 100).ok());
+  // Costly features last, so the re-optimized order differs.
+  ASSERT_TRUE(session
+                  ->AddRuleText("r3: soft_tf_idf(title, title) >= 0.4 AND "
+                                "monge_elkan(title, title) >= 0.5")
+                  .ok());
+  ASSERT_TRUE(session->AddRuleText("r4: exact_match(brand, brand) >= 1").ok());
+  const std::string before = Dsl(*session);
+  session->Reoptimize();
+  ASSERT_NE(Dsl(*session), before) << "the rule order must have changed";
+  EXPECT_TRUE(session->durable());
+  // A positional edit after the reorder must replay onto the same rule.
+  ASSERT_TRUE(session->ApplyEdit("set_threshold 0 0 0.95").ok());
+
+  auto recovered = FreshSessionForRecovery();
+  ASSERT_TRUE(recovered->Recover(dir_).ok());
+  EXPECT_EQ(Dsl(*recovered), Dsl(*session));
+  EXPECT_EQ(recovered->Run(), session->Run());
+}
+
+TEST_F(DurableSessionTest, FailedRecoverCanBeRetried) {
+  {
+    auto session = FreshSession();
+    ASSERT_TRUE(session->EnableDurability(dir_, 100).ok());
+    const Rule& r1 = session->function().rule(0);
+    ASSERT_TRUE(
+        session->SetThreshold(r1.id(), r1.predicate(0).id, 0.61).ok());
+    ASSERT_TRUE(session->RemoveRule(session->function().rule(1).id()).ok());
+  }
+  auto good = ReadFileToString(journal_path());
+  ASSERT_TRUE(good.ok());
+  // Corrupt the first (non-final) record's payload.
+  std::string bad = *good;
+  bad[bad.find(' ', bad.find('\n') + 1) + 1] ^= 0x20;
+  ASSERT_TRUE(WriteStringToFile(journal_path(), bad).ok());
+
+  auto recovered = FreshSessionForRecovery();
+  EXPECT_EQ(recovered->Recover(dir_).code(), StatusCode::kParseError);
+  EXPECT_FALSE(recovered->has_run());
+  EXPECT_FALSE(recovered->durable());
+  EXPECT_EQ(recovered->function().num_rules(), 0u);
+  EXPECT_EQ(recovered->Undo().code(), StatusCode::kFailedPrecondition);
+
+  // With the journal repaired, the same session recovers fully.
+  ASSERT_TRUE(WriteStringToFile(journal_path(), *good).ok());
+  const Status s = recovered->Recover(dir_);
+  ASSERT_TRUE(s.ok()) << s;
+  EXPECT_TRUE(recovered->durable());
+  EXPECT_TRUE(recovered->has_run());
+  ASSERT_EQ(recovered->function().num_rules(), 1u);
+  EXPECT_DOUBLE_EQ(recovered->function().rule(0).predicate(0).threshold,
+                   0.61);
+  auto fresh = FreshSessionForRecovery();
+  ASSERT_TRUE(fresh->Recover(dir_).ok());
+  EXPECT_EQ(Dsl(*recovered), Dsl(*fresh));
+  EXPECT_EQ(recovered->Run(), fresh->Run());
+}
+
+/// Rules as DSL lines in function order; empty rules (no DSL form) as
+/// "!empty <name>".
+std::string RulesText(DebugSession& s) {
+  std::string out;
+  for (const Rule& rule : s.function().rules()) {
+    out += rule.empty() ? "!empty " + rule.name()
+                        : RuleToDsl(rule, s.catalog());
+    out += "\n";
+  }
+  return out;
+}
+
+TEST_F(DurableSessionTest, RandomEditsAndUndosReplayExactly) {
+  // Every edit here names its rule: the journal replays an unnamed rule
+  // under a name derived from the recovering session's own rule ids.
+  const std::vector<std::string> rule_pool = {
+      "jaccard(category, category) >= 0.4",
+      "jaro_winkler(brand, brand) >= 0.8 AND "
+      "exact_match(modelno, modelno) >= 1",
+      "cosine(title, title) >= 0.55",
+      "trigram(title, title) >= 0.5 AND jaccard(brand, brand) >= 0.3",
+  };
+  const std::vector<std::string> pred_pool = {
+      "jaccard(title, title) >= 0.3", "jaro(brand, brand) >= 0.6",
+      "exact_match(category, category) >= 1",
+      "levenshtein(modelno, modelno) >= 0.5"};
+  for (const size_t every : {size_t{1000}, size_t{3}}) {
+    for (const uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(StrFormat("checkpoint_every=%zu seed=%llu", every,
+                             static_cast<unsigned long long>(seed)));
+      std::filesystem::remove_all(dir_);
+      auto live = FreshSession();
+      ASSERT_TRUE(live->EnableDurability(dir_, every).ok());
+      DebugSession& s = *live;
+      Rng rng(seed);
+      size_t undoable = 0;
+      size_t next_name = 0;
+      auto pick_rule = [&]() -> const Rule& {
+        return s.function().rule(rng.Uniform(s.function().num_rules()));
+      };
+      auto threshold = [&] {
+        return StrFormat("%.2f", 0.05 * static_cast<double>(rng.Uniform(20)));
+      };
+
+      // An undo of remove_rule, then an undo of an earlier edit to the
+      // rule it re-created: the second undo must reach the new ids.
+      {
+        const Rule& r = s.function().rule(0);
+        ASSERT_TRUE(s.SetThreshold(r.id(), r.predicate(0).id, 0.66).ok());
+        ASSERT_TRUE(s.RemoveRule(s.function().rule(0).id()).ok());
+        ASSERT_TRUE(s.Undo().ok());
+        ASSERT_TRUE(s.Undo().ok());
+      }
+
+      for (int step = 0; step < 40; ++step) {
+        const bool typed = rng.Bernoulli(0.5);
+        const uint64_t op = rng.Uniform(7);
+        Status st;
+        if (op == 6 || s.function().num_rules() == 0) {
+          const std::string dsl =
+              StrFormat("n%zu: ", next_name++) +
+              rule_pool[rng.Uniform(rule_pool.size())];
+          st = typed ? s.AddRuleText(dsl).status()
+                     : s.ApplyEdit("add_rule " + dsl).status();
+          ++undoable;
+        } else if (op == 5) {
+          if (undoable == 0) continue;
+          st = s.Undo();
+          --undoable;
+        } else if (op == 4) {
+          const Rule& r = pick_rule();
+          const size_t pos = s.function().FindRule(r.id());
+          st = typed ? s.RemoveRule(r.id())
+                     : s.ApplyEdit(StrFormat("remove_rule %zu", pos)).status();
+          ++undoable;
+        } else if (op == 3) {
+          const Rule& r = pick_rule();
+          const std::string dsl = pred_pool[rng.Uniform(pred_pool.size())];
+          if (typed) {
+            Result<Rule> parsed = ParseRule(dsl, s.catalog());
+            ASSERT_TRUE(parsed.ok());
+            st = s.AddPredicate(r.id(), parsed->predicate(0)).status();
+          } else {
+            st = s.ApplyEdit(StrFormat("add_pred %zu %s",
+                                       s.function().FindRule(r.id()),
+                                       dsl.c_str()))
+                     .status();
+          }
+          ++undoable;
+        } else {
+          const Rule& r = pick_rule();
+          if (r.empty() || (op == 2 && r.size() == 1)) continue;
+          const size_t rpos = s.function().FindRule(r.id());
+          const size_t ppos = rng.Uniform(r.size());
+          const PredicateId pid = r.predicate(ppos).id;
+          if (op == 2) {
+            st = typed ? s.RemovePredicate(r.id(), pid)
+                       : s.ApplyEdit(StrFormat("remove_pred %zu %zu", rpos,
+                                               ppos))
+                             .status();
+          } else {
+            const std::string t = threshold();
+            st = typed ? s.SetThreshold(r.id(), pid, std::stod(t))
+                       : s.ApplyEdit(StrFormat("set_threshold %zu %zu %s",
+                                               rpos, ppos, t.c_str()))
+                             .status();
+          }
+          ++undoable;
+        }
+        ASSERT_TRUE(st.ok()) << "step " << step << ": " << st;
+      }
+
+      auto recovered = FreshSessionForRecovery();
+      const Status rs = recovered->Recover(dir_, every);
+      ASSERT_TRUE(rs.ok()) << rs;
+      EXPECT_EQ(RulesText(*recovered), RulesText(s));
+      EXPECT_EQ(SessionStateDigest(*recovered), SessionStateDigest(s));
+    }
+  }
 }
 
 TEST_F(DurableSessionTest, RecoverIntoSessionWithOtherFeaturesIsRejected) {

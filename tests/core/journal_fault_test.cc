@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/debug_session.h"
-#include "src/core/edit_log.h"
+#include "src/core/edit_journal.h"
 #include "src/core/rule_parser.h"
 #include "src/util/fault_injection.h"
 #include "tests/test_util.h"

@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/edit_log.h"
+#include "src/core/edit_journal.h"
 #include "src/serve/client.h"
 #include "src/serve/server.h"
 #include "src/util/fault_injection.h"
@@ -399,6 +399,21 @@ TEST_F(ServerTest, OpenDurableWithoutRootIsRefused) {
   EXPECT_EQ(c.Call("open durable").status().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(c.Call("resume t9").status().code(), StatusCode::kFailedPrecondition);
   EXPECT_TRUE(c.Call("open").ok()) << "ephemeral sessions still work";
+}
+
+TEST_F(ServerTest, OpenDurableOnShardedServerIsRefused) {
+  Server::Options o = BaseOptions();
+  o.session_sharded = true;
+  StartServer(o);
+  ServeClient c = Connect();
+  EXPECT_EQ(c.Call("open durable").status().code(),
+            StatusCode::kFailedPrecondition)
+      << "sharded sessions run in batch mode and cannot journal edits";
+  ASSERT_TRUE(c.Call("open").ok()) << "batch sessions still work";
+  ASSERT_TRUE(c.Call("add_rule r1: jaccard(title, title) >= 0.5").ok());
+  Result<std::string> run = c.Call("run");
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_NE(run->find("matches="), std::string::npos) << *run;
 }
 
 TEST_F(ServerTest, DuplicateTokenIsAlreadyExists) {
